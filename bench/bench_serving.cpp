@@ -1,17 +1,21 @@
-// Experiment: serving-front overhead (service/server.hpp + snapshot.hpp).
+// Experiment: solver-service throughput and serving-front overhead
+// (service/broker.hpp, server.hpp, snapshot.hpp).
 //
-// Reproduction artifact: the same warm multi-tenant lookup served two ways —
-// in-process (`Broker::solve`) and over the wire (`Session::handle_line`
-// parsing the line protocol, solving, rendering the response text). The gap
-// is the full price of the text front: parse + dispatch + response
-// formatting. A third table times cache persistence: snapshot encode/save
-// and load/decode, whose entries/sec bound how fast a restarted server
-// returns to warm.
+// Reproduction artifact: B base instances solved cold (empty memo cache,
+// every request solves), then the same multi-tenant lookups served warm two
+// ways — in-process (`Broker::solve`: canonicalize + probe + denormalize)
+// and over the wire (`Session::handle_line` parsing the line protocol,
+// solving, rendering the response text). Warm over cold is the price of a
+// solve against the price of recognizing one, and must stay >= 10x; the gap
+// between the warm rows is the full price of the text front. Further tables
+// time concurrent TCP serving, saturation shedding, and cache persistence
+// (snapshot save/load, the write-ahead journal's append overhead).
 //
-// Emits BENCH_serving.json: warm in-process and wire requests/sec, snapshot
-// save/load entries/sec, and miss-solve requests/sec with the write-ahead
-// journal off vs on (all gated by compare_bench.py) plus the
-// label-independent front checksum of the served fronts (warn-compared).
+// Emits BENCH_serving.json: cold, warm in-process and wire requests/sec,
+// TCP requests/sec, snapshot save/load entries/sec, and miss-solve
+// requests/sec with the journal off vs on (all gated by compare_bench.py)
+// plus the label-independent front checksum of the served fronts
+// (warn-compared).
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -34,6 +38,7 @@
 #include "relap/service/broker.hpp"
 #include "relap/service/server.hpp"
 #include "relap/service/snapshot.hpp"
+#include "relap/util/rng.hpp"
 #include "relap/util/strings.hpp"
 
 namespace {
@@ -43,6 +48,7 @@ using namespace relap;
 using benchutil::seconds_since;
 
 constexpr std::size_t kBases = 4;
+constexpr std::size_t kDuplicatesPerBase = 6;
 constexpr std::size_t kStages = 6;
 constexpr std::size_t kProcessors = 8;
 
@@ -54,10 +60,37 @@ service::SolveRequest base_request(std::uint64_t seed) {
   service::SolveRequest request;
   request.instance = service::InstanceData::from(pipe, plat);
   request.objective = service::Objective::ParetoFront;
-  // Forced heuristic, as in bench_service: bounded deterministic solves.
+  // Forced heuristic: bounded, thread-count-deterministic solve times, so the
+  // warm/cold ratio measures the broker, not an exhaustive blowup.
   request.method = algorithms::Method::Heuristic;
   request.pareto_thresholds = 16;
   return request;
+}
+
+std::vector<service::SolveRequest> base_requests() {
+  std::vector<service::SolveRequest> requests;
+  for (std::size_t b = 0; b < kBases; ++b) requests.push_back(base_request(b * 7 + 3));
+  return requests;
+}
+
+/// R presentations of every base: random relabelings, half also rescaled.
+std::vector<service::SolveRequest> relabeled_requests() {
+  std::vector<service::SolveRequest> requests;
+  util::Rng rng(20'080'401);
+  for (const service::SolveRequest& base : base_requests()) {
+    for (std::size_t r = 0; r < kDuplicatesPerBase; ++r) {
+      service::SolveRequest request = base;
+      std::vector<std::size_t> stage_order = util::iota_indices(base.instance.stages.size());
+      std::vector<std::size_t> processor_order =
+          util::iota_indices(base.instance.processors.size());
+      rng.shuffle(stage_order);
+      rng.shuffle(processor_order);
+      request.instance = base.instance.relabeled(stage_order, processor_order);
+      if (r % 2 == 1) request.instance = request.instance.scaled(2.0, 0.25, 0.5);
+      requests.push_back(std::move(request));
+    }
+  }
+  return requests;
 }
 
 /// Renders an instance as the protocol lines `instance <name> ... end`.
@@ -171,9 +204,9 @@ void run_bench_client(std::uint16_t port, const std::string& name,
 }
 
 void print_tables() {
-  benchutil::header("serving front: wire protocol overhead and snapshot speed");
-  std::printf("workload: %zu base instances (%zu stages x %zu processors), warm lookups\n\n",
-              kBases, kStages, kProcessors);
+  benchutil::header("solver service: cold vs warm, wire protocol overhead, snapshot speed");
+  std::printf("workload: %zu base instances (%zu stages x %zu processors)\n\n", kBases, kStages,
+              kProcessors);
 
   benchutil::JsonReport report("serving");
   report.field("bases", static_cast<std::uint64_t>(kBases))
@@ -183,14 +216,36 @@ void print_tables() {
   service::Broker broker;
   service::Session session(broker);
 
+  constexpr int kReps = 5;
+
+  // Cold in-process: every base solves in an emptied cache. The solves are
+  // bit-identical across repetitions, so best-of-N isolates throughput from
+  // machine load.
+  const std::vector<service::SolveRequest> requests = base_requests();
+  double cold_elapsed = std::numeric_limits<double>::infinity();
+  {
+    service::Broker cold;
+    for (int rep = 0; rep < kReps; ++rep) {
+      cold.clear_cache();
+      const auto start = std::chrono::steady_clock::now();
+      const auto replies = cold.solve_batch(requests);
+      cold_elapsed = std::min(cold_elapsed, seconds_since(start));
+      for (const auto& reply : replies) {
+        if (!reply.has_value() || reply->cache_hit) {
+          std::fprintf(stderr, "cold pass produced a non-cold reply\n");
+          std::exit(1);
+        }
+      }
+    }
+  }
+  const double cold_per_sec = static_cast<double>(requests.size()) / cold_elapsed;
+
   // Register and prime every base through the wire (cold solves).
-  std::vector<service::SolveRequest> requests;
   std::vector<std::string> solve_lines;
   std::string response;
   for (std::size_t b = 0; b < kBases; ++b) {
-    requests.push_back(base_request(b * 7 + 3));
     const std::string name = "base" + std::to_string(b);
-    for (const std::string& line : instance_lines(name, requests.back().instance)) {
+    for (const std::string& line : instance_lines(name, requests[b].instance)) {
       response.clear();
       if (!session.handle_line(line, response)) std::exit(1);
     }
@@ -200,8 +255,6 @@ void print_tables() {
     if (!session.handle_line(solve_lines.back(), response)) std::exit(1);
     expect_ok(response, "priming solve");
   }
-
-  constexpr int kReps = 5;
 
   // Warm in-process: canonicalize + probe + denormalize, no text layer.
   double inproc_elapsed = std::numeric_limits<double>::infinity();
@@ -219,6 +272,7 @@ void print_tables() {
     inproc_elapsed = std::min(inproc_elapsed, seconds_since(start));
   }
   const double inproc_per_sec = static_cast<double>(requests.size()) / inproc_elapsed;
+  const double warm_over_cold = inproc_per_sec / cold_per_sec;
 
   // Warm over the wire: the same lookups through parse + response rendering.
   double wire_elapsed = std::numeric_limits<double>::infinity();
@@ -394,12 +448,14 @@ void print_tables() {
   const double journal_on_per_sec = static_cast<double>(kJournalSolves) / journal_on_elapsed;
 
   std::printf("%-18s %9s %12s %16s\n", "path", "requests", "time", "requests/s");
+  std::printf("%-18s %9zu %11.3fms %16.0f\n", "cold in-process", requests.size(),
+              cold_elapsed * 1e3, cold_per_sec);
   std::printf("%-18s %9zu %11.3fms %16.0f\n", "warm in-process", requests.size(),
               inproc_elapsed * 1e3, inproc_per_sec);
   std::printf("%-18s %9zu %11.3fms %16.0f\n", "warm wire", solve_lines.size(),
               wire_elapsed * 1e3, wire_per_sec);
-  std::printf("\nwire/in-process: %.2fx   fronts %s\n", wire_per_sec / inproc_per_sec,
-              fronts.hex().c_str());
+  std::printf("\nwarm/cold: %.1fx   wire/in-process: %.2fx   fronts %s\n", warm_over_cold,
+              wire_per_sec / inproc_per_sec, fronts.hex().c_str());
 
   std::printf("\nconcurrent TCP (warm, %zu solves total):\n", kTotalConcurrentSolves);
   std::printf("%-18s %16s\n", "connections", "requests/s");
@@ -418,7 +474,9 @@ void print_tables() {
   std::printf("%-18s %16.0f\n", "on", journal_on_per_sec);
   std::printf("on/off: %.3fx\n", journal_on_per_sec / journal_off_per_sec);
 
-  report.field("warm_inproc_requests_per_sec", inproc_per_sec)
+  report.field("cold_requests_per_sec", cold_per_sec)
+      .field("warm_over_cold", warm_over_cold)
+      .field("warm_inproc_requests_per_sec", inproc_per_sec)
       .field("warm_wire_requests_per_sec", wire_per_sec)
       .field("wire_over_inproc", wire_per_sec / inproc_per_sec);
   for (const ConcurrentRow& row : concurrent_rows) {
@@ -435,9 +493,32 @@ void print_tables() {
       .field("journal_on_over_off", journal_on_per_sec / journal_off_per_sec)
       .field("fronts_checksum", fronts.hex());
   report.write();
+  if (warm_over_cold < 10.0) {
+    std::fprintf(stderr, "warm throughput below 10x cold (%.1fx)\n", warm_over_cold);
+    std::exit(1);
+  }
 }
 
 // --- Microbenchmarks. -------------------------------------------------------
+
+void bm_canonicalize(benchmark::State& state) {
+  const service::SolveRequest request = base_request(3);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(service::canonicalize(request.instance));
+  }
+}
+BENCHMARK(bm_canonicalize);
+
+void bm_batch_dedup(benchmark::State& state) {
+  // A full duplicate-heavy batch against a primed cache.
+  service::Broker broker;
+  const auto relabeled = relabeled_requests();
+  benchmark::DoNotOptimize(broker.solve_batch(base_requests()));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(broker.solve_batch(relabeled));
+  }
+}
+BENCHMARK(bm_batch_dedup)->Unit(benchmark::kMicrosecond);
 
 void bm_wire_warm_solve(benchmark::State& state) {
   // One warm solve line end to end: parse, dispatch, render the full reply.

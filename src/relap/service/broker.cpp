@@ -378,19 +378,13 @@ std::vector<util::Expected<Reply>> Broker::solve_batch_timed(
   return replies;
 }
 
-void Broker::resolve_ticket_locked(std::uint64_t id, util::Expected<Reply> reply) {
-  if (waiter_ids_.contains(id)) {
-    waiter_results_.emplace(id, std::move(reply));
-  } else {
-    completed_.push_back(Drained{id, std::move(reply)});
-  }
-}
-
 void Broker::shed_overflow_locked() {
   const std::size_t high = options_.queue_high_watermark;
   if (high == 0 || queue_.size() <= high) return;
   std::size_t low = options_.queue_low_watermark;
-  if (low == 0 || low > high) low = high / 2;
+  // At least 1: with high == 1, half would shed the whole queue, the
+  // highest-priority ticket included.
+  if (low == 0 || low > high) low = std::max<std::size_t>(1, high / 2);
   while (queue_.size() > low) {
     // Victim: lowest priority, ties broken toward the latest deadline, then
     // the newest arrival — the work whose loss costs the least.
@@ -405,7 +399,7 @@ void Broker::shed_overflow_locked() {
           return a.id > b.id;
         });
     metrics_.shed_total.add(1);
-    resolve_ticket_locked(
+    waiter_results_.emplace(
         victim->id,
         util::make_error("overloaded",
                          "queue exceeded its high watermark (" + std::to_string(high) +
@@ -416,24 +410,12 @@ void Broker::shed_overflow_locked() {
   queue_cv_.notify_all();
 }
 
-std::uint64_t Broker::submit(SolveRequest request) {
-  std::lock_guard<std::mutex> lock(queue_mutex_);
-  const std::uint64_t id = next_ticket_++;
-  if (shutting_down()) {
-    resolve_ticket_locked(id, shutting_down_error());
-    return id;
-  }
-  queue_.push_back(Ticket{id, std::move(request), std::chrono::steady_clock::now()});
-  shed_overflow_locked();
-  return id;
-}
-
 std::size_t Broker::pending() const {
   std::lock_guard<std::mutex> lock(queue_mutex_);
   return queue_.size();
 }
 
-std::vector<Broker::Drained> Broker::solve_tickets(std::vector<Ticket> batch) {
+std::vector<util::Expected<Reply>> Broker::solve_tickets(std::vector<Ticket>& batch) {
   const auto drained_at = std::chrono::steady_clock::now();
   std::vector<SolveRequest> requests;
   std::vector<double> queue_waits;
@@ -442,53 +424,15 @@ std::vector<Broker::Drained> Broker::solve_tickets(std::vector<Ticket> batch) {
   for (Ticket& ticket : batch) {
     requests.push_back(std::move(ticket.request));
     queue_waits.push_back(
-        std::chrono::duration<double>(drained_at - ticket.submitted).count());
+        std::chrono::duration<double>(drained_at - ticket.enqueued).count());
   }
-  std::vector<util::Expected<Reply>> replies = solve_batch_timed(requests, queue_waits);
-  std::vector<Drained> drained;
-  drained.reserve(batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    drained.push_back(Drained{batch[i].id, std::move(replies[i])});
-  }
-  return drained;
-}
-
-std::vector<Broker::Drained> Broker::drain() {
-  std::vector<Ticket> batch;
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    batch.swap(queue_);
-  }
-  std::vector<Drained> solved = solve_tickets(std::move(batch));
-  std::vector<Drained> drained;
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    // Route `solve_batched` waiters' results to them; everything else —
-    // including the backlog of already-resolved tickets (shed, shutdown) —
-    // is this drain's to return.
-    bool woke_waiter = false;
-    for (Drained& d : solved) {
-      if (waiter_ids_.contains(d.id)) {
-        waiter_results_.emplace(d.id, std::move(d.reply));
-        woke_waiter = true;
-      } else {
-        drained.push_back(std::move(d));
-      }
-    }
-    for (Drained& d : completed_) drained.push_back(std::move(d));
-    completed_.clear();
-    if (woke_waiter) queue_cv_.notify_all();
-  }
-  std::sort(drained.begin(), drained.end(),
-            [](const Drained& a, const Drained& b) { return a.id < b.id; });
-  return drained;
+  return solve_batch_timed(requests, queue_waits);
 }
 
 util::Expected<Reply> Broker::solve_batched(const SolveRequest& request) {
   std::unique_lock<std::mutex> lock(queue_mutex_);
   if (shutting_down()) return shutting_down_error();
   const std::uint64_t id = next_ticket_++;
-  waiter_ids_.insert(id);
   queue_.push_back(Ticket{id, request, std::chrono::steady_clock::now()});
   shed_overflow_locked();  // may shed this very ticket: the loop below sees it
   while (true) {
@@ -496,7 +440,6 @@ util::Expected<Reply> Broker::solve_batched(const SolveRequest& request) {
     if (ready != waiter_results_.end()) {
       util::Expected<Reply> reply = std::move(ready->second);
       waiter_results_.erase(ready);
-      waiter_ids_.erase(id);
       return reply;
     }
     if (!draining_ && !queue_.empty()) {
@@ -506,9 +449,11 @@ util::Expected<Reply> Broker::solve_batched(const SolveRequest& request) {
       std::vector<Ticket> batch;
       batch.swap(queue_);
       lock.unlock();
-      std::vector<Drained> solved = solve_tickets(std::move(batch));
+      std::vector<util::Expected<Reply>> replies = solve_tickets(batch);
       lock.lock();
-      for (Drained& d : solved) resolve_ticket_locked(d.id, std::move(d.reply));
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        waiter_results_.emplace(batch[i].id, std::move(replies[i]));
+      }
       draining_ = false;
       queue_cv_.notify_all();
     } else {

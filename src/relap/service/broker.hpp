@@ -39,26 +39,27 @@
 /// a crashed process restarts with snapshot + journal replay — losing at
 /// most the last `fsync_every - 1` solves.
 ///
-/// Batches (`solve_batch`, or `submit` + `drain`) additionally dedupe: member
-/// requests with equal full keys form one group, groups are ordered by
-/// (priority desc, deadline asc, arrival), and only each group's lead solves;
-/// the other members re-probe the cache and count as hits. Group dispatch
-/// rides the same deterministic exec pool the solvers use — nested `run()` is
-/// explicitly safe there.
+/// Batches (`solve_batch`, or the shared queue behind `solve_batched`)
+/// additionally dedupe: member requests with equal full keys form one group,
+/// groups are ordered by (priority desc, deadline asc, arrival), and only
+/// each group's lead solves; the other members re-probe the cache and count
+/// as hits. Group dispatch rides the same deterministic exec pool the solvers
+/// use — nested `run()` is explicitly safe there.
 ///
 /// Overload hardening (all failure modes are structured errors, never
 /// asserts or hangs):
 ///
-///   - **Deadlines are wall-clock budgets** (seconds from submit; see
-///     request.hpp). A request whose budget is spent when its batch
-///     dispatches rejects with "deadline-exceeded"; a running solve is
-///     cooperatively cancelled (util/cancel.hpp tokens, polled at chunk
-///     granularity in the solver stack) once the *loosest* surviving budget
-///     in its dedup group passes — a solve is abandoned only when no member
-///     still wants the answer. Cancelled solves are discarded, so completed
-///     replies stay bit-identical.
-///   - **Load shedding**: with `queue_high_watermark` set, a submit that
-///     overflows the queue sheds the lowest-priority tickets (code
+///   - **Deadlines are wall-clock budgets** (seconds from the moment the
+///     request is queued or handed to `solve`; see request.hpp). A request
+///     whose budget is spent when its batch dispatches rejects with
+///     "deadline-exceeded"; a running solve is cooperatively cancelled
+///     (util/cancel.hpp tokens, polled at chunk granularity in the solver
+///     stack) once the *loosest* surviving budget in its dedup group passes —
+///     a solve is abandoned only when no member still wants the answer.
+///     Cancelled solves are discarded, so completed replies stay
+///     bit-identical.
+///   - **Load shedding**: with `queue_high_watermark` set, a `solve_batched`
+///     call that overflows the queue sheds the lowest-priority tickets (code
 ///     "overloaded") down to the low watermark.
 ///   - **Degrade mode**: with `degrade_on_deadline`, a deadline-cancelled
 ///     solve answers with a fast heuristic front instead of an error —
@@ -67,10 +68,9 @@
 ///     with "shutting-down" while already-queued tickets keep draining.
 ///
 /// `solve_batched` is the concurrent serving entry point: each session
-/// submits into the shared queue and blocks for its own reply; one session
-/// drains the batch for everyone (waiter/drainer), so concurrent tenants
-/// coalesce into the same dedup + priority dispatch a single `solve_batch`
-/// call gets.
+/// queues its request and blocks for its own reply; one session drains the
+/// batch for everyone (waiter/drainer), so concurrent tenants coalesce into
+/// the same dedup + priority dispatch a single `solve_batch` call gets.
 
 #include <atomic>
 #include <chrono>
@@ -80,7 +80,6 @@
 #include <mutex>
 #include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "relap/exec/thread_pool.hpp"
@@ -102,11 +101,11 @@ struct BrokerOptions {
   /// Admission caps: requests beyond these reject with code "oversized".
   std::size_t max_stages = 64;
   std::size_t max_processors = 64;
-  /// Admission control for the submit/drain queue: when a submit pushes the
+  /// Admission control for the `solve_batched` queue: when a call pushes the
   /// pending count past the high watermark, the lowest-priority tickets
   /// (ties: latest deadline, then newest arrival) are shed with code
   /// "overloaded" until only the low watermark remain. 0 disables shedding;
-  /// a zero low watermark defaults to half the high one.
+  /// a zero low watermark defaults to half the high one, but at least 1.
   std::size_t queue_high_watermark = 0;
   std::size_t queue_low_watermark = 0;
   /// Serve deadline-cancelled solves with a fast heuristic front
@@ -130,37 +129,20 @@ class Broker {
   [[nodiscard]] std::vector<util::Expected<Reply>> solve_batch(
       std::span<const SolveRequest> requests);
 
-  /// Serves one request through the shared submit/drain queue, blocking
-  /// until its reply is ready. Concurrent callers coalesce: one caller
-  /// drains the batch for everyone (dedup and priority dispatch apply
+  /// Serves one request through the shared queue, blocking until its reply
+  /// is ready. Concurrent callers coalesce: one caller drains the whole
+  /// queue as one batch for everyone (dedup and priority dispatch apply
   /// *across* callers), the others wait on their tickets. This is the
   /// concurrent TCP front's entry point. Shed / shutdown outcomes surface
   /// as "overloaded" / "shutting-down" errors.
   [[nodiscard]] util::Expected<Reply> solve_batched(const SolveRequest& request);
 
-  /// Queues a request for the next `drain()`; returns its ticket id. After
-  /// `begin_shutdown()` the ticket resolves to a "shutting-down" error; a
-  /// submit that overflows the high watermark sheds (see BrokerOptions).
-  std::uint64_t submit(SolveRequest request);
-
-  /// Number of submitted, not-yet-drained requests.
+  /// Number of queued `solve_batched` requests no drainer has taken yet.
   [[nodiscard]] std::size_t pending() const;
 
-  struct Drained {
-    std::uint64_t id = 0;
-    util::Expected<Reply> reply;
-  };
-
-  /// Serves every queued request as one batch; results carry the ticket ids
-  /// handed out by `submit`, in submission order (sorted by id). Also
-  /// delivers the backlog: tickets already resolved without a solve (shed
-  /// "overloaded", post-shutdown "shutting-down"). Tickets a concurrent
-  /// `solve_batched` drainer is solving right now surface on a later drain.
-  [[nodiscard]] std::vector<Drained> drain();
-
   /// Graceful drain: after this, `solve`/`solve_batch`/`solve_batched`
-  /// refuse with code "shutting-down" and new submits resolve to the same
-  /// error, while already-queued tickets keep draining normally.
+  /// refuse with code "shutting-down", while already-queued tickets keep
+  /// draining normally.
   void begin_shutdown();
   [[nodiscard]] bool shutting_down() const {
     return shutting_down_.load(std::memory_order_acquire);
@@ -243,7 +225,7 @@ class Broker {
   [[nodiscard]] Reply make_reply(const Admitted& admitted, const algorithms::FrontReport& report,
                                  bool cache_hit, TraceSpans spans) const;
   /// Shared batch path; `queue_waits` (empty, or one value per request)
-  /// carries the submit -> drain delay of queued requests into spans and
+  /// carries the enqueue -> dequeue delay of queued requests into spans and
   /// metrics, and is what dequeue-time deadline enforcement measures
   /// budgets against.
   [[nodiscard]] std::vector<util::Expected<Reply>> solve_batch_timed(
@@ -271,26 +253,21 @@ class Broker {
   struct Ticket {
     std::uint64_t id = 0;
     SolveRequest request;
-    std::chrono::steady_clock::time_point submitted;
+    std::chrono::steady_clock::time_point enqueued;
   };
 
-  /// Solves a swapped-out queue segment; caller routes the results.
-  [[nodiscard]] std::vector<Drained> solve_tickets(std::vector<Ticket> batch);
+  /// Solves a swapped-out queue segment as one batch, moving the requests
+  /// out of `batch`; the replies come back in batch order.
+  [[nodiscard]] std::vector<util::Expected<Reply>> solve_tickets(std::vector<Ticket>& batch);
   /// Sheds down to the low watermark; requires `queue_mutex_` held.
   void shed_overflow_locked();
-  /// Resolves a ticket without solving (shed / shutdown); requires
-  /// `queue_mutex_` held.
-  void resolve_ticket_locked(std::uint64_t id, util::Expected<Reply> reply);
 
   mutable std::mutex queue_mutex_;
   std::condition_variable queue_cv_;
   std::vector<Ticket> queue_;
-  /// Resolved non-waiter tickets awaiting the next `drain()`.
-  std::vector<Drained> completed_;
-  /// `solve_batched` coordination: callers park their ticket id in
-  /// `waiter_ids_` and collect the reply from `waiter_results_`; at most one
-  /// caller drains at a time (`draining_`).
-  std::unordered_set<std::uint64_t> waiter_ids_;
+  /// `solve_batched` coordination: every queued ticket belongs to a blocked
+  /// caller, which collects its reply here by ticket id; at most one caller
+  /// drains at a time (`draining_`).
   std::unordered_map<std::uint64_t, util::Expected<Reply>> waiter_results_;
   bool draining_ = false;
   std::uint64_t next_ticket_ = 1;

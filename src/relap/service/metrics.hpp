@@ -115,7 +115,7 @@ struct ServiceMetrics {
   Counter journal_records_discarded_torn;  ///< torn tails dropped on recovery
   Gauge recovery_seconds;                  ///< wall time of the last recover()
 
-  LatencyHistogram queue_wait;    ///< submit() -> drain() dispatch
+  LatencyHistogram queue_wait;    ///< solve_batched enqueue -> dispatch
   LatencyHistogram canonicalize;  ///< admission + canonicalization
   LatencyHistogram cache_probe;   ///< memo-cache lookup
   LatencyHistogram solve;         ///< solver dispatch (misses only)

@@ -103,13 +103,15 @@ struct SolveRequest {
   double threshold = 0.0;
   /// Scheduling priority: higher values are dispatched earlier in a batch.
   int priority = 0;
-  /// Wall-clock budget in **seconds**, measured from `submit()` (or from
-  /// dispatch for a direct `solve`). Besides ordering requests within a
-  /// priority level (tighter first), the deadline is enforced: a request
-  /// whose budget is already spent when its batch dispatches is rejected
-  /// with code "deadline-exceeded" (deadline 0 deterministically expires),
-  /// and a running solve is cooperatively cancelled once the tightest
-  /// deadline in its dedup group passes. Cancellation never alters a result:
+  /// Wall-clock budget in **seconds**, measured from the moment
+  /// `solve_batched` queues the request (or from dispatch for a direct
+  /// `solve`/`solve_batch`). Besides ordering requests within a priority
+  /// level (tighter first), the deadline is enforced: a request whose budget
+  /// is already spent when its batch dispatches is rejected with code
+  /// "deadline-exceeded" (deadline 0 deterministically expires), and a
+  /// running solve is cooperatively cancelled once the *loosest* surviving
+  /// budget in its dedup group passes, so a solve is abandoned only when no
+  /// member still wants the answer. Cancellation never alters a result:
   /// a cancelled solve is an error and its partial work is discarded, so
   /// every *completed* reply keeps the bit-identical determinism contract.
   /// +inf (the default) means no deadline; NaN and negative values are
@@ -131,7 +133,7 @@ struct SolveRequest {
 /// are seconds; spans that did not occur (queue wait on a direct `solve`,
 /// solve on a cache hit) are 0.
 struct TraceSpans {
-  double queue_wait_seconds = 0.0;    ///< submit() -> batch dispatch
+  double queue_wait_seconds = 0.0;    ///< solve_batched enqueue -> dispatch
   double canonicalize_seconds = 0.0;  ///< admission + canonicalization
   double cache_probe_seconds = 0.0;   ///< memo-cache lookup
   double solve_seconds = 0.0;         ///< solver dispatch (0 on hits)

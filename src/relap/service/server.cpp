@@ -609,13 +609,6 @@ std::size_t TcpServer::serve(Broker& broker, const ServerOptions& options) {
   return served;
 }
 
-std::size_t TcpServer::serve(Broker& broker, Session::Options options) {
-  // Compatibility shape: direct (non-batched) solves, default knobs.
-  ServerOptions server_options;
-  server_options.session = options;
-  return serve(broker, server_options);
-}
-
 void TcpServer::request_stop() {
   stop_.store(true, std::memory_order_release);
   // Wake the blocked accept(); the listener stays bound (port() remains

@@ -38,7 +38,7 @@ TEST(LocalSearch, NeverWorsensTheStart) {
 TEST(LocalSearch, Fig5SingleIntervalIsALocalOptimum) {
   // From the best single-interval start, every single move worsens FP or
   // breaks the threshold: steepest descent must hold at 0.64 (reaching the
-  // two-interval optimum needs the beam or annealing — see their tests).
+  // two-interval optimum needs the beam — see the heuristics tests).
   const auto pipe = gen::fig5_pipeline();
   const auto plat = gen::fig5_platform();
   const Solution start = start_from(pipe, plat, gen::fig5_single_interval_mapping());

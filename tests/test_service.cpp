@@ -10,7 +10,9 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <chrono>
 #include <cstdint>
+#include <deque>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -21,6 +23,7 @@
 #include "relap/gen/pipelines.hpp"
 #include "relap/gen/platforms.hpp"
 #include "relap/service/canonical.hpp"
+#include "relap/service/faultpoint.hpp"
 #include "relap/util/rng.hpp"
 
 namespace relap::service {
@@ -257,27 +260,6 @@ TEST(Broker, BatchDedupesEqualRequestsOntoOneSolve) {
   EXPECT_EQ(stats.entries, 1U);
 }
 
-TEST(Broker, SubmitDrainPreservesOrderAndTickets) {
-  Broker broker;
-  SolveRequest request;
-  request.instance = small_instance(26);
-  request.objective = Objective::MinFpForLatency;
-  request.threshold = kInf;
-  const std::uint64_t first = broker.submit(request);
-  request.priority = 5;
-  const std::uint64_t second = broker.submit(request);
-  EXPECT_EQ(broker.pending(), 2U);
-  const auto drained = broker.drain();
-  EXPECT_EQ(broker.pending(), 0U);
-  ASSERT_EQ(drained.size(), 2U);
-  EXPECT_EQ(drained[0].id, first);
-  EXPECT_EQ(drained[1].id, second);
-  ASSERT_TRUE(drained[0].reply.has_value());
-  ASSERT_TRUE(drained[1].reply.has_value());
-  EXPECT_TRUE(drained.back().reply->cache_hit);  // same instance+knobs = one key
-  EXPECT_TRUE(broker.drain().empty());
-}
-
 // --- Malformed-request hardening. ------------------------------------------
 
 SolveRequest valid_request() {
@@ -455,73 +437,161 @@ TEST(Broker, DeadlineSemanticsPinned) {
   ASSERT_TRUE(reply.has_value());
 }
 
+// --- The shared queue behind solve_batched. --------------------------------
+//
+// Each queue test starts one caller whose cache-miss solve is held inside
+// the broker.solve_stall fault point. That caller is the drainer, so every
+// later caller queues behind it; waiting on `pending()` between callers
+// fixes the ticket order.
+
+constexpr double kStallSeconds = 1.0;
+
+/// Spins until `done()` holds. False once the stalled drainer's window has
+/// passed, so a test whose callers did not queue in time fails, not hangs.
+template <typename Predicate>
+bool wait_until(Predicate done) {
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::duration<double>(kStallSeconds);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > give_up) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+class StalledQueue {
+ public:
+  /// Starts caller 0, the drainer, and waits until it stalls in its solve.
+  explicit StalledQueue(Broker& broker) : broker_(broker) {
+    faultpoint::clear();
+    faultpoint::ArmOptions stall;
+    stall.value = kStallSeconds;
+    faultpoint::arm("broker.solve_stall", stall);
+    SolveRequest lead = valid_request();
+    lead.instance = small_instance(28, 3, 3);
+    (void)call(lead);
+    EXPECT_TRUE(wait_until([] { return faultpoint::hits("broker.solve_stall") >= 1; }));
+  }
+  ~StalledQueue() {
+    join();
+    faultpoint::clear();
+  }
+
+  /// Calls `solve_batched(request)` on a new thread; returns the caller's
+  /// index for `reply`.
+  std::size_t call(SolveRequest request) {
+    std::optional<util::Expected<Reply>>& slot = replies_.emplace_back();
+    callers_.emplace_back([this, &slot, request = std::move(request)] {
+      slot.emplace(broker_.solve_batched(request));
+    });
+    return replies_.size() - 1;
+  }
+
+  void join() {
+    for (std::thread& caller : callers_) caller.join();
+    callers_.clear();
+  }
+
+  /// Caller `index`'s reply; requires `join()` first.
+  [[nodiscard]] const util::Expected<Reply>& reply(std::size_t index) const {
+    return *replies_[index];
+  }
+
+ private:
+  Broker& broker_;
+  std::deque<std::optional<util::Expected<Reply>>> replies_;  // stable slots
+  std::vector<std::thread> callers_;
+};
+
 TEST(Broker, QueuedDeadlineEnforcedAtDequeue) {
   Broker broker;
+  StalledQueue queue(broker);
   SolveRequest request = valid_request();
   request.deadline = 0.0;
-  const std::uint64_t expired = broker.submit(request);
-  request.deadline = 3600.0;  // queue waits are microseconds here
-  const std::uint64_t alive = broker.submit(request);
-  const auto drained = broker.drain();
-  ASSERT_EQ(drained.size(), 2U);
-  EXPECT_EQ(drained[0].id, expired);
-  ASSERT_FALSE(drained[0].reply.has_value());
-  EXPECT_EQ(drained[0].reply.error().code, "deadline-exceeded");
-  EXPECT_EQ(drained[1].id, alive);
-  EXPECT_TRUE(drained[1].reply.has_value());
+  const std::size_t expired = queue.call(request);
+  ASSERT_TRUE(wait_until([&] { return broker.pending() == 1; }));
+  request.deadline = 3600.0;  // the queue wait is about kStallSeconds
+  const std::size_t alive = queue.call(request);
+  queue.join();
+
+  ASSERT_FALSE(queue.reply(expired).has_value());
+  EXPECT_EQ(queue.reply(expired).error().code, "deadline-exceeded");
+  EXPECT_TRUE(queue.reply(alive).has_value());
+  EXPECT_TRUE(queue.reply(0).has_value());
 }
 
 TEST(Broker, WatermarkSheddingDropsLowestPriorityFirst) {
-  BrokerOptions options;
-  options.queue_high_watermark = 4;
-  options.queue_low_watermark = 2;
-  Broker broker(options);
+  {
+    BrokerOptions options;
+    options.queue_high_watermark = 4;
+    options.queue_low_watermark = 2;
+    Broker broker(options);
+    StalledQueue queue(broker);
 
-  std::vector<std::uint64_t> ids;
-  for (int p = 0; p < 5; ++p) {
+    std::vector<std::size_t> callers;
+    for (std::size_t p = 0; p < 5; ++p) {
+      SolveRequest request = valid_request();
+      request.priority = static_cast<int>(p);  // later callers are *more* important
+      callers.push_back(queue.call(request));
+      if (p < 4) {
+        ASSERT_TRUE(wait_until([&] { return broker.pending() == p + 1; }));
+      }
+    }
+    queue.join();
+
+    // The fifth caller crossed the high watermark: shed down to the low one,
+    // lowest priorities first, so the two most important callers survive.
+    EXPECT_EQ(broker.metrics().shed_total.value(), 3U);
+    for (std::size_t p = 0; p < 3; ++p) {
+      ASSERT_FALSE(queue.reply(callers[p]).has_value()) << "priority " << p << " should be shed";
+      EXPECT_EQ(queue.reply(callers[p]).error().code, "overloaded");
+    }
+    for (std::size_t p = 3; p < 5; ++p) {
+      EXPECT_TRUE(queue.reply(callers[p]).has_value()) << "priority " << p << " should survive";
+    }
+  }
+  {
+    // High watermark 1, low unset: the default low watermark is at least 1,
+    // so one overflow sheds only the lower priority, never the whole queue.
+    BrokerOptions options;
+    options.queue_high_watermark = 1;
+    Broker broker(options);
+    StalledQueue queue(broker);
+
     SolveRequest request = valid_request();
-    request.priority = p;  // later submissions are *more* important
-    ids.push_back(broker.submit(request));
-  }
-  // The fifth submit crossed the high watermark: shed down to the low one,
-  // lowest priorities first, so the two most important tickets survive.
-  EXPECT_EQ(broker.pending(), 2U);
-  EXPECT_EQ(broker.metrics().shed_total.value(), 3U);
+    const std::size_t low = queue.call(request);
+    ASSERT_TRUE(wait_until([&] { return broker.pending() == 1; }));
+    request.priority = 5;
+    const std::size_t high = queue.call(request);
+    queue.join();
 
-  const auto drained = broker.drain();
-  ASSERT_EQ(drained.size(), 5U);
-  for (std::size_t i = 0; i < drained.size(); ++i) EXPECT_EQ(drained[i].id, ids[i]);
-  for (std::size_t i = 0; i < 3; ++i) {
-    ASSERT_FALSE(drained[i].reply.has_value()) << "priority " << i << " should be shed";
-    EXPECT_EQ(drained[i].reply.error().code, "overloaded");
-  }
-  for (std::size_t i = 3; i < 5; ++i) {
-    EXPECT_TRUE(drained[i].reply.has_value()) << "priority " << i << " should survive";
+    EXPECT_EQ(broker.metrics().shed_total.value(), 1U);
+    ASSERT_FALSE(queue.reply(low).has_value());
+    EXPECT_EQ(queue.reply(low).error().code, "overloaded");
+    EXPECT_TRUE(queue.reply(high).has_value());
   }
 }
 
 TEST(Broker, GracefulShutdownRefusesNewWorkButDrainsQueued) {
   Broker broker;
+  StalledQueue queue(broker);
   SolveRequest request = valid_request();
-  const std::uint64_t queued = broker.submit(request);
+  const std::size_t queued = queue.call(request);
+  ASSERT_TRUE(wait_until([&] { return broker.pending() == 1; }));
 
   broker.begin_shutdown();
   EXPECT_TRUE(broker.shutting_down());
 
   // New work refuses with "shutting-down" on every entry point...
   expect_error(broker, request, "shutting-down");
-  ASSERT_FALSE(broker.solve_batched(request).has_value());
-  EXPECT_EQ(broker.solve_batched(request).error().code, "shutting-down");
-  const std::uint64_t late = broker.submit(request);
+  const auto late = broker.solve_batched(request);
+  ASSERT_FALSE(late.has_value());
+  EXPECT_EQ(late.error().code, "shutting-down");
 
-  // ...while the pre-shutdown ticket still drains to a real reply.
-  const auto drained = broker.drain();
-  ASSERT_EQ(drained.size(), 2U);
-  EXPECT_EQ(drained[0].id, queued);
-  EXPECT_TRUE(drained[0].reply.has_value());
-  EXPECT_EQ(drained[1].id, late);
-  ASSERT_FALSE(drained[1].reply.has_value());
-  EXPECT_EQ(drained[1].reply.error().code, "shutting-down");
+  // ...while the callers queued or solving before shutdown get real replies.
+  queue.join();
+  EXPECT_TRUE(queue.reply(queued).has_value());
+  EXPECT_TRUE(queue.reply(0).has_value());
 }
 
 // --- solve_batched: the concurrent sessions' entry point. -------------------
@@ -541,8 +611,6 @@ TEST(Broker, SolveBatchedMatchesDirectSolveBitIdentically) {
     EXPECT_TRUE(
         bits_equal(direct->front[i].failure_probability, batched->front[i].failure_probability));
   }
-  EXPECT_EQ(batched_broker.pending(), 0U);
-  EXPECT_TRUE(batched_broker.drain().empty());
 }
 
 TEST(Broker, ConcurrentSolveBatchedCoalescesOntoOneSolve) {

@@ -349,7 +349,7 @@ TEST(Server, TcpLoopbackServesSessionsUntilShutdown) {
   ASSERT_NE(server.port(), 0);
 
   std::size_t sessions = 0;
-  std::thread accept_thread([&] { sessions = server.serve(broker); });
+  std::thread accept_thread([&] { sessions = server.serve(broker, ServerOptions{}); });
 
   {
     Client client(server.port());
