@@ -98,11 +98,13 @@ void for_each_neighbor(const platform::Platform& platform, const Assignments& cu
   }
 }
 
-Solution descend(const pipeline::Pipeline& pipeline, const platform::Platform& platform,
-                 Solution start, double cap, const LocalSearchOptions& options,
-                 bool (*better)(const Solution&, const Solution&, double)) {
-  Solution best = std::move(start);
-  for (std::size_t round = 0; round < options.max_rounds; ++round) {
+/// Steepest descent from `best` (improved in place); returns the number of
+/// improving rounds taken.
+std::size_t descend(const pipeline::Pipeline& pipeline, const platform::Platform& platform,
+                    Solution& best, double cap, const LocalSearchOptions& options,
+                    bool (*better)(const Solution&, const Solution&, double)) {
+  std::size_t round = 0;
+  for (; round < options.max_rounds; ++round) {
     std::optional<Solution> improved;
     for_each_neighbor(platform, best.mapping.intervals(), [&](Assignments next) {
       Solution candidate = evaluate(pipeline, platform, mapping::IntervalMapping(std::move(next)));
@@ -112,23 +114,29 @@ Solution descend(const pipeline::Pipeline& pipeline, const platform::Platform& p
     if (!improved) break;
     best = *std::move(improved);
   }
-  return best;
+  return round;
 }
 
 }  // namespace
 
 Solution local_search_min_fp(const pipeline::Pipeline& pipeline,
                              const platform::Platform& platform, Solution start,
-                             double max_latency, const LocalSearchOptions& options) {
-  return descend(pipeline, platform, std::move(start), max_latency, options, &better_min_fp);
+                             double max_latency, const LocalSearchOptions& options,
+                             std::size_t* rounds) {
+  const std::size_t taken =
+      descend(pipeline, platform, start, max_latency, options, &better_min_fp);
+  if (rounds != nullptr) *rounds = taken;
+  return start;
 }
 
 Solution local_search_min_latency(const pipeline::Pipeline& pipeline,
                                   const platform::Platform& platform, Solution start,
                                   double max_failure_probability,
-                                  const LocalSearchOptions& options) {
-  return descend(pipeline, platform, std::move(start), max_failure_probability, options,
-                 &better_min_latency);
+                                  const LocalSearchOptions& options, std::size_t* rounds) {
+  const std::size_t taken = descend(pipeline, platform, start, max_failure_probability, options,
+                                    &better_min_latency);
+  if (rounds != nullptr) *rounds = taken;
+  return start;
 }
 
 }  // namespace relap::algorithms

@@ -29,16 +29,18 @@ struct LocalSearchOptions {
 
 /// Minimizes FP subject to latency <= `max_latency`, starting from `start`.
 /// Never returns a solution worse than `start` under the constrained
-/// comparator.
+/// comparator. `rounds`, if given, receives the number of improving rounds.
 [[nodiscard]] Solution local_search_min_fp(const pipeline::Pipeline& pipeline,
                                            const platform::Platform& platform, Solution start,
                                            double max_latency,
-                                           const LocalSearchOptions& options = {});
+                                           const LocalSearchOptions& options = {},
+                                           std::size_t* rounds = nullptr);
 
 /// Minimizes latency subject to FP <= `max_failure_probability`.
 [[nodiscard]] Solution local_search_min_latency(const pipeline::Pipeline& pipeline,
                                                 const platform::Platform& platform, Solution start,
                                                 double max_failure_probability,
-                                                const LocalSearchOptions& options = {});
+                                                const LocalSearchOptions& options = {},
+                                                std::size_t* rounds = nullptr);
 
 }  // namespace relap::algorithms

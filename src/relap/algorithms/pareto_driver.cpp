@@ -1,11 +1,11 @@
 #include "relap/algorithms/pareto_driver.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <optional>
 
-#include "relap/algorithms/heuristics.hpp"
 #include "relap/algorithms/mono_criterion.hpp"
 #include "relap/exec/parallel.hpp"
 #include "relap/mapping/latency.hpp"
@@ -72,15 +72,28 @@ std::vector<ParetoSolution> sweep_latency_thresholds(const pipeline::Pipeline& p
 
 std::vector<ParetoSolution> heuristic_pareto_front(const pipeline::Pipeline& pipeline,
                                                    const platform::Platform& platform,
-                                                   const ParetoDriverOptions& options) {
-  return sweep_latency_thresholds(
+                                                   const ParetoDriverOptions& options,
+                                                   const HeuristicOptions& heuristic,
+                                                   HeuristicWork* work) {
+  HeuristicOptions generation = heuristic;
+  if (generation.pool == nullptr) generation.pool = options.pool;
+  if (generation.cancel == nullptr) generation.cancel = options.cancel;
+  const std::vector<Solution> candidates =
+      collect_heuristic_candidates(pipeline, platform, generation);
+  if (util::cancel_requested(generation.cancel)) return {};
+
+  std::atomic<std::uint64_t> rounds{0};
+  std::vector<ParetoSolution> front = sweep_latency_thresholds(
       pipeline, platform,
       [&](double max_latency) {
-        HeuristicOptions heuristic;
-        heuristic.cancel = options.cancel;
-        return heuristic_min_fp_for_latency(pipeline, platform, max_latency, heuristic);
+        std::size_t taken = 0;
+        Result best = best_min_fp_for_latency(pipeline, platform, candidates, max_latency, &taken);
+        rounds.fetch_add(taken, std::memory_order_relaxed);
+        return best;
       },
       options);
+  if (work != nullptr) *work = HeuristicWork{candidates.size(), 1, rounds.load()};
+  return front;
 }
 
 double front_fp_ratio(const std::vector<ParetoSolution>& achieved,

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "relap/algorithms/exhaustive.hpp"
+#include "relap/algorithms/heuristics.hpp"
 #include "relap/algorithms/types.hpp"
 
 namespace relap::exec {
@@ -47,11 +48,24 @@ struct ParetoDriverOptions {
     const pipeline::Pipeline& pipeline, const platform::Platform& platform,
     const MinFpSolver& solver, const ParetoDriverOptions& options = {});
 
-/// Convenience: the heuristic front (heuristic_min_fp_for_latency swept over
-/// thresholds, plus the two mono-criterion extreme points).
+/// The heuristic front: `heuristic_min_fp_for_latency` swept over the
+/// thresholds, plus the most reliable mapping as the front's high end.
+///
+/// Generate-once contract: no candidate generator reads a threshold, so the
+/// candidate list is collected once per call (collect_heuristic_candidates,
+/// configured by `heuristic`) and shared read-only by every threshold
+/// worker, which only scans it and polishes its pick with local search
+/// (best_min_fp_for_latency). The front equals the per-threshold
+/// `sweep_latency_thresholds(..., heuristic_min_fp_for_latency)` point for
+/// point, at a fraction of the cost. The generators use `options.pool` and
+/// `options.cancel` where `heuristic` leaves them null. A cancelled
+/// collection yields an empty front; as for the sweep, callers that need an
+/// all-or-nothing answer re-check the token. `work`, if given, receives the
+/// solve's work counters.
 [[nodiscard]] std::vector<ParetoSolution> heuristic_pareto_front(
     const pipeline::Pipeline& pipeline, const platform::Platform& platform,
-    const ParetoDriverOptions& options = {});
+    const ParetoDriverOptions& options = {}, const HeuristicOptions& heuristic = {},
+    HeuristicWork* work = nullptr);
 
 /// Area-style front comparison: mean over `reference`'s points of the FP
 /// ratio achieved/reference at the reference point's latency (>= 1; 1 means

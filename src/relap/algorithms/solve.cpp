@@ -102,7 +102,7 @@ util::Expected<FrontReport> solve_pareto_front(const pipeline::Pipeline& pipelin
     auto outcome = exhaustive_pareto(pipeline, platform, options.exhaustive);
     if (!outcome) return outcome.error();
     return FrontReport{std::move(outcome.value().front), "exhaustive pareto", true,
-                       outcome.value().evaluations};
+                       outcome.value().evaluations, {}};
   };
   const auto heuristic = [&]() -> util::Expected<FrontReport> {
     ParetoDriverOptions driver;
@@ -111,12 +111,14 @@ util::Expected<FrontReport> solve_pareto_front(const pipeline::Pipeline& pipelin
     driver.cancel = options.heuristic.cancel;
     // The sweep's per-threshold solver is the heuristic suite, so the front
     // inherits its determinism contract (bit-identical at any thread count).
-    std::vector<ParetoSolution> front = heuristic_pareto_front(pipeline, platform, driver);
+    HeuristicWork work;
+    std::vector<ParetoSolution> front =
+        heuristic_pareto_front(pipeline, platform, driver, options.heuristic, &work);
     // A cancelled sweep is partial: report the cancellation, not the front.
     if (util::cancel_requested(options.heuristic.cancel)) {
       return util::make_error("cancelled", "pareto sweep was cancelled before completing");
     }
-    return FrontReport{std::move(front), "heuristic front sweep", false, 0};
+    return FrontReport{std::move(front), "heuristic front sweep", false, 0, work};
   };
   switch (options.method) {
     case Method::Exact:

@@ -61,6 +61,10 @@ struct FrontReport {
   bool exact = false;
   /// Candidates evaluated by the exhaustive path (0 on the heuristic path).
   std::uint64_t evaluations = 0;
+  /// Solve-time work counters of the heuristic front sweep (all 0 on the
+  /// other paths). Not persisted: a front loaded from a snapshot or journal
+  /// reads 0 here.
+  HeuristicWork work;
 };
 
 /// Minimize FP subject to latency <= L.
@@ -77,7 +81,9 @@ struct FrontReport {
 /// (exhaustive) when the candidate count fits the budget, the heuristic
 /// threshold sweep otherwise. Method::Exact / Method::Exhaustive force the
 /// exhaustive path (error "budget" if the space exceeds the evaluation
-/// budget); Method::Heuristic forces the sweep.
+/// budget); Method::Heuristic forces the sweep, which runs
+/// `heuristic_pareto_front` with `options.heuristic` and
+/// `options.pareto_thresholds`.
 [[nodiscard]] util::Expected<FrontReport> solve_pareto_front(const pipeline::Pipeline& pipeline,
                                                              const platform::Platform& platform,
                                                              const SolveOptions& options = {});

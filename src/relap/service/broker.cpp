@@ -164,6 +164,12 @@ util::Expected<algorithms::FrontReport> Broker::solve_canonical(
   return front;
 }
 
+void Broker::record_work(const algorithms::HeuristicWork& work) const {
+  metrics_.candidates_total.add(work.candidates);
+  metrics_.generator_passes_total.add(work.generator_passes);
+  metrics_.local_search_rounds_total.add(work.local_search_rounds);
+}
+
 Reply Broker::make_reply(const Admitted& admitted, const algorithms::FrontReport& report,
                          bool cache_hit, TraceSpans spans) const {
   const auto start = std::chrono::steady_clock::now();
@@ -320,6 +326,8 @@ std::vector<util::Expected<Reply>> Broker::solve_batch_timed(
           lead_spans.solve_seconds += elapsed_seconds(fallback_start);
           if (fallback.has_value()) {
             const algorithms::FrontReport degraded_report = std::move(fallback).take();
+            record_work(degraded_report.work);
+            lead_spans.work = degraded_report.work;
             for (std::size_t k = 0; k < group.members.size(); ++k) {
               const std::size_t member = group.members[k];
               TraceSpans spans = lead_spans;
@@ -349,6 +357,8 @@ std::vector<util::Expected<Reply>> Broker::solve_batch_timed(
         return;
       }
       report = std::make_shared<const algorithms::FrontReport>(std::move(solved).take());
+      record_work(report->work);
+      lead_spans.work = report->work;
       cache_.insert(group.hash, lead.full_key, report);
       journal_insert(group.hash, lead.full_key, report);
     }

@@ -30,7 +30,9 @@
 ///
 /// Every lifecycle step is measured twice: per request into `Reply::spans`
 /// (request.hpp trace spans) and in aggregate into the broker's
-/// `ServiceMetrics` registry (metrics.hpp, exported by `metrics_json`).
+/// `ServiceMetrics` registry (metrics.hpp, exported by `metrics_json`). A
+/// miss also carries the solver's work counters (`FrontReport::work`) into
+/// its spans, and every completed solve adds them to the metrics totals.
 /// `save_snapshot`/`load_snapshot` persist the memo cache across process
 /// runs (snapshot.hpp), so a restarted broker serves warm-from-snapshot
 /// replies bit-identical to same-process warm replies. `recover` adds the
@@ -224,6 +226,8 @@ class Broker {
       const util::CancelToken* cancel) const;
   [[nodiscard]] Reply make_reply(const Admitted& admitted, const algorithms::FrontReport& report,
                                  bool cache_hit, TraceSpans spans) const;
+  /// Adds a completed solve's work counters to the metrics totals.
+  void record_work(const algorithms::HeuristicWork& work) const;
   /// Shared batch path; `queue_waits` (empty, or one value per request)
   /// carries the enqueue -> dequeue delay of queued requests into spans and
   /// metrics, and is what dequeue-time deadline enforcement measures

@@ -104,6 +104,10 @@ struct ServiceMetrics {
   Counter cancelled_total;          ///< solves cooperatively cancelled mid-flight
   Counter shed_total;               ///< queued requests shed by admission control
   Counter degraded_total;           ///< replies served by the heuristic degrade path
+  /// Solver work summed over completed solves (FrontReport::work).
+  Counter candidates_total;           ///< heuristic candidates generated
+  Counter generator_passes_total;     ///< runs of the three candidate generators
+  Counter local_search_rounds_total;  ///< improving local-search rounds
   Counter snapshot_saves;
   Counter snapshot_loads;
   Counter snapshot_entries_saved;

@@ -78,11 +78,17 @@ std::string TraceSpans::to_json() const {
     std::snprintf(buffer, sizeof buffer, "\"%s\":%.17g", name, seconds);
     return std::string(buffer);
   };
-  return '{' + field("queue_wait_s", queue_wait_seconds) + ',' +
-         field("canonicalize_s", canonicalize_seconds) + ',' +
-         field("cache_probe_s", cache_probe_seconds) + ',' +
-         field("solve_s", solve_seconds) + ',' +
-         field("denormalize_s", denormalize_seconds) + '}';
+  std::string out = '{' + field("queue_wait_s", queue_wait_seconds) + ',' +
+                    field("canonicalize_s", canonicalize_seconds) + ',' +
+                    field("cache_probe_s", cache_probe_seconds) + ',' +
+                    field("solve_s", solve_seconds) + ',' +
+                    field("denormalize_s", denormalize_seconds);
+  if (work.has_value()) {
+    out += ",\"candidates\":" + std::to_string(work->candidates);
+    out += ",\"generator_passes\":" + std::to_string(work->generator_passes);
+    out += ",\"local_search_rounds\":" + std::to_string(work->local_search_rounds);
+  }
+  return out + '}';
 }
 
 std::string to_string(Objective objective) {

@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -138,8 +139,13 @@ struct TraceSpans {
   double cache_probe_seconds = 0.0;   ///< memo-cache lookup
   double solve_seconds = 0.0;         ///< solver dispatch (0 on hits)
   double denormalize_seconds = 0.0;   ///< reply construction
+  /// The solver work behind the reply (FrontReport::work); set only when
+  /// this request's solve ran, i.e. on misses.
+  std::optional<algorithms::HeuristicWork> work;
 
-  /// One-line JSON object, e.g. {"queue_wait_s":0,"canonicalize_s":1e-06,...}.
+  /// One-line JSON object, e.g. {"queue_wait_s":0,"canonicalize_s":1e-06,...};
+  /// on misses it ends with "candidates", "generator_passes" and
+  /// "local_search_rounds".
   [[nodiscard]] std::string to_json() const;
 };
 

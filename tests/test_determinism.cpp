@@ -197,6 +197,34 @@ TEST(Determinism, HeuristicParetoFrontAcrossThreadCounts) {
   }
 }
 
+TEST(Determinism, HeuristicFrontEqualsPerThresholdSweepAcrossThreadCounts) {
+  // The generate-once front (one candidate list shared by every threshold
+  // worker) must equal the sweep that regenerates the candidates per
+  // threshold, point for point and mapping for mapping.
+  for (const bool fully_het : {true, false}) {
+    const auto pipe = gen::random_uniform_pipeline(6, 171);
+    gen::PlatformGenOptions gen_options;
+    gen_options.processors = 8;
+    const auto plat = fully_het ? gen::random_fully_heterogeneous(gen_options, 172)
+                                : gen::random_comm_hom_het_failures(gen_options, 172);
+    for (const std::size_t threads : kThreadCounts) {
+      exec::ThreadPool pool(threads);
+      algorithms::ParetoDriverOptions options;
+      options.pool = &pool;
+      options.thresholds = 12;
+      const auto per_threshold = algorithms::sweep_latency_thresholds(
+          pipe, plat,
+          [&](double max_latency) {
+            return algorithms::heuristic_min_fp_for_latency(pipe, plat, max_latency);
+          },
+          options);
+      ASSERT_FALSE(per_threshold.empty());
+      expect_same_front(algorithms::heuristic_pareto_front(pipe, plat, options), per_threshold,
+                        threads);
+    }
+  }
+}
+
 // --- SIMD lane-width invariance: the lane kernels at W = 4 / 8 must be
 // bit-identical to the W = 1 scalar walk, the same contract thread-count
 // determinism pins for the exec subsystem. -------------------------------

@@ -1,19 +1,83 @@
 // Tests for algorithms/heuristics.hpp: every generator emits valid mappings,
 // the suite solves the paper's Figure 5 instance optimally, and across random
 // instances of the open/NP-hard classes the heuristic answer stays within a
-// bounded factor of the exhaustive optimum (and never below it).
+// bounded factor of the exhaustive optimum (and never below it). The beam's
+// emitted sequence is pinned by known-answer hashes, and its heap traffic by
+// a counting allocator that replaces the global allocator in this binary.
 
 #include "relap/algorithms/heuristics.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+
 #include "relap/algorithms/exhaustive.hpp"
+#include "relap/exec/thread_pool.hpp"
 #include "relap/gen/paper_instances.hpp"
 #include "relap/gen/pipelines.hpp"
 #include "relap/gen/platforms.hpp"
 #include "relap/platform/builders.hpp"
 #include "relap/mapping/validate.hpp"
+#include "relap/util/hash.hpp"
 #include "relap/util/stats.hpp"
+
+namespace {
+
+std::atomic<std::size_t> g_allocation_count{0};
+
+void* counted_allocate(std::size_t size) {
+  g_allocation_count.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+
+void* counted_allocate_nothrow(std::size_t size) noexcept {
+  g_allocation_count.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+void* counted_allocate_aligned(std::size_t size, std::size_t alignment) {
+  g_allocation_count.fetch_add(1, std::memory_order_relaxed);
+  void* p = nullptr;
+  if (posix_memalign(&p, alignment < sizeof(void*) ? sizeof(void*) : alignment,
+                     size == 0 ? alignment : size) == 0) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+// Replaceable global allocation functions: every operator new in this test
+// binary routes through the counter (read by BeamAllocations below).
+void* operator new(std::size_t size) { return counted_allocate(size); }
+void* operator new[](std::size_t size) { return counted_allocate(size); }
+void* operator new(std::size_t size, std::align_val_t alignment) {
+  return counted_allocate_aligned(size, static_cast<std::size_t>(alignment));
+}
+void* operator new[](std::size_t size, std::align_val_t alignment) {
+  return counted_allocate_aligned(size, static_cast<std::size_t>(alignment));
+}
+// The nothrow forms too: std::stable_sort takes its buffer through them.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_allocate_nothrow(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_allocate_nothrow(size);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
 
 namespace relap::algorithms {
 namespace {
@@ -149,6 +213,95 @@ TEST(HeuristicSuite, BeamSkipsPlatformsBeyondMaskWidth) {
   EXPECT_EQ(beam_count, 0u);
   const Result r = heuristic_min_fp_for_latency(pipe, plat, 1e9);
   ASSERT_TRUE(r.has_value());
+}
+
+/// FNV-1a over the beam's emitted sequence: count, then per candidate the
+/// latency/FP bit patterns, interval boundaries and replica groups.
+std::uint64_t beam_sequence_hash(const pipeline::Pipeline& pipe, const platform::Platform& plat,
+                                 const HeuristicOptions& options) {
+  util::Fnv1a hash;
+  std::uint64_t count = 0;
+  enumerate_beam_candidates(pipe, plat, options, [&](Solution s) {
+    ++count;
+    hash.add(s.latency);
+    hash.add(s.failure_probability);
+    hash.add(static_cast<std::uint64_t>(s.mapping.interval_count()));
+    for (const mapping::IntervalAssignment& a : s.mapping.intervals()) {
+      hash.add(static_cast<std::uint64_t>(a.stages.first));
+      hash.add(static_cast<std::uint64_t>(a.stages.last));
+      hash.add(static_cast<std::uint64_t>(a.processors.size()));
+      for (const platform::ProcessorId u : a.processors) hash.add(static_cast<std::uint64_t>(u));
+    }
+  });
+  hash.add(count);
+  return hash.value();
+}
+
+struct BeamPinCase {
+  std::size_t stages;
+  std::size_t processors;
+  std::uint64_t seed;
+  bool fully_het;
+  std::size_t beam_width;
+  std::size_t max_replication;
+  std::uint64_t expected;
+
+  friend void PrintTo(const BeamPinCase& c, std::ostream* os) {
+    *os << c.stages << "x" << c.processors << (c.fully_het ? " fully-het" : " comm-het")
+        << " seed " << c.seed << " width " << c.beam_width << " rep " << c.max_replication;
+  }
+};
+
+class BeamKnownAnswer : public ::testing::TestWithParam<BeamPinCase> {};
+
+TEST_P(BeamKnownAnswer, EmittedSequenceMatchesPin) {
+  const BeamPinCase& c = GetParam();
+  const auto pipe = gen::random_uniform_pipeline(c.stages, c.seed);
+  gen::PlatformGenOptions gen_options;
+  gen_options.processors = c.processors;
+  const auto plat = c.fully_het ? gen::random_fully_heterogeneous(gen_options, c.seed + 1)
+                                : gen::random_comm_hom_het_failures(gen_options, c.seed + 1);
+  HeuristicOptions options;
+  options.beam_width = c.beam_width;
+  options.max_replication = c.max_replication;
+  EXPECT_EQ(beam_sequence_hash(pipe, plat, options), c.expected)
+      << std::hex << "0x" << beam_sequence_hash(pipe, plat, options);
+}
+
+// Known answers: any change to the beam's emission order, pruning or
+// floating-point evaluation order shows up here.
+INSTANTIATE_TEST_SUITE_P(
+    Instances, BeamKnownAnswer,
+    ::testing::Values(BeamPinCase{6, 8, 11, true, 64, 16, 0xbdb4c57ffd6d52aaULL},
+                      BeamPinCase{6, 8, 12, false, 64, 16, 0xb2c9495da1ba6e17ULL},
+                      BeamPinCase{5, 6, 13, true, 64, 16, 0x8d472ffcdb8f2fb0ULL},
+                      BeamPinCase{4, 5, 14, false, 64, 16, 0x9792dd9f6108b536ULL},
+                      BeamPinCase{7, 10, 15, true, 64, 16, 0xadc336c8f515736eULL},
+                      BeamPinCase{3, 4, 16, false, 64, 16, 0xeb1f6951473a63f8ULL},
+                      BeamPinCase{6, 8, 17, true, 5, 3, 0x5a0e6ee86fa6cb55ULL},
+                      BeamPinCase{8, 12, 18, false, 16, 4, 0x7efc86ce9c068657ULL},
+                      BeamPinCase{4, 1, 19, true, 64, 16, 0xf484372ee7995d00ULL},
+                      BeamPinCase{1, 3, 20, false, 64, 16, 0x779c09fc17add56fULL}));
+
+TEST(BeamAllocations, SixByEightPassIsBounded) {
+  // One 6x8 fully heterogeneous beam pass on a one-thread pool. Copying
+  // every state's interval vector costs ~46k allocations here; parent-index
+  // nodes with one memoized group table per pass cost ~1.7k.
+  const auto pipe = gen::random_uniform_pipeline(6, 31);
+  gen::PlatformGenOptions gen_options;
+  gen_options.processors = 8;
+  const auto plat = gen::random_fully_heterogeneous(gen_options, 32);
+  exec::ThreadPool serial(1);
+  HeuristicOptions options;
+  options.pool = &serial;
+  std::size_t emitted = 0;
+  const CandidateSink sink = [&](Solution) { ++emitted; };
+
+  const std::size_t before = g_allocation_count.load(std::memory_order_relaxed);
+  enumerate_beam_candidates(pipe, plat, options, sink);
+  const std::size_t allocations = g_allocation_count.load(std::memory_order_relaxed) - before;
+  ASSERT_EQ(emitted, 64u);
+  EXPECT_LE(allocations, 3000u);
 }
 
 }  // namespace

@@ -231,6 +231,62 @@ TEST(Broker, SingleObjectiveRepliesCarryOnePoint) {
   EXPECT_GT(reply->best().latency, 0.0);
 }
 
+TEST(Broker, ColdHeuristicParetoReportsSolverWorkAndHitsReportNone) {
+  Broker broker;
+  SolveRequest request;
+  request.instance = small_instance(25, 5, 6);
+  request.objective = Objective::ParetoFront;
+  request.method = algorithms::Method::Heuristic;
+  request.pareto_thresholds = 8;
+
+  // The three generators' own emitted counts on the canonical instance the
+  // broker solves.
+  const auto canonical = canonicalize(request.instance);
+  ASSERT_TRUE(canonical.has_value());
+  std::uint64_t emitted = 0;
+  const algorithms::CandidateSink count = [&](algorithms::Solution) { ++emitted; };
+  const algorithms::HeuristicOptions defaults;
+  algorithms::enumerate_single_interval_candidates(canonical->pipeline, canonical->platform,
+                                                   defaults, count);
+  algorithms::enumerate_greedy_split_candidates(canonical->pipeline, canonical->platform,
+                                                defaults, count);
+  algorithms::enumerate_beam_candidates(canonical->pipeline, canonical->platform, defaults, count);
+  ASSERT_GT(emitted, 0U);
+
+  const auto cold = broker.solve(request);
+  ASSERT_TRUE(cold.has_value());
+  ASSERT_FALSE(cold->cache_hit);
+  ASSERT_TRUE(cold->spans.work.has_value());
+  EXPECT_EQ(cold->spans.work->generator_passes, 1U);
+  EXPECT_EQ(cold->spans.work->candidates, emitted);
+  const std::string cold_trace = cold->spans.to_json();
+  EXPECT_NE(cold_trace.find("\"generator_passes\":1,"), std::string::npos) << cold_trace;
+  EXPECT_NE(cold_trace.find("\"candidates\":" + std::to_string(emitted) + ","),
+            std::string::npos)
+      << cold_trace;
+  EXPECT_NE(cold_trace.find("\"local_search_rounds\":"), std::string::npos) << cold_trace;
+
+  const auto warm = broker.solve(request);
+  ASSERT_TRUE(warm.has_value());
+  ASSERT_TRUE(warm->cache_hit);
+  const algorithms::HeuristicWork hit_work = warm->spans.work.value_or(algorithms::HeuristicWork{});
+  EXPECT_EQ(hit_work.generator_passes, 0U);
+  EXPECT_EQ(hit_work.candidates, 0U);
+  EXPECT_EQ(hit_work.local_search_rounds, 0U);
+  EXPECT_EQ(warm->spans.to_json().find("generator_passes"), std::string::npos);
+
+  // The metrics totals count the one solve, not the hit.
+  const std::string metrics = broker.metrics_json();
+  EXPECT_NE(metrics.find("\"generator_passes_total\":1,"), std::string::npos) << metrics;
+  EXPECT_NE(metrics.find("\"candidates_total\":" + std::to_string(emitted) + ","),
+            std::string::npos)
+      << metrics;
+  EXPECT_NE(metrics.find("\"local_search_rounds_total\":" +
+                         std::to_string(cold->spans.work->local_search_rounds) + ","),
+            std::string::npos)
+      << metrics;
+}
+
 // --- Batch dedup + ticket queue. -------------------------------------------
 
 TEST(Broker, BatchDedupesEqualRequestsOntoOneSolve) {

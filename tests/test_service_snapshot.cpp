@@ -100,6 +100,32 @@ TEST(Snapshot, EncodeDecodeRoundTripsEntriesBitExactly) {
   std::remove(path.c_str());
 }
 
+TEST(Snapshot, SolverWorkCountersAreNotPersisted) {
+  // The work counters describe one solve, not the answer: a decoded front
+  // reads 0 there, and the encoding is the same with or without them.
+  Broker broker;
+  SolveRequest request = pareto_request(4);
+  request.method = algorithms::Method::Heuristic;
+  request.pareto_thresholds = 4;
+  const auto solved = broker.solve(request);
+  ASSERT_TRUE(solved.has_value());
+  ASSERT_TRUE(solved->spans.work.has_value());
+  EXPECT_EQ(solved->spans.work->generator_passes, 1U);
+
+  const std::string path = temp_path("work");
+  ASSERT_TRUE(broker.save_snapshot(path).has_value());
+  const std::string bytes = read_file(path);
+  const auto decoded = decode_snapshot(bytes);
+  ASSERT_TRUE(decoded.has_value());
+  ASSERT_EQ(decoded->size(), 1U);
+  const algorithms::HeuristicWork& work = decoded->front().value->work;
+  EXPECT_EQ(work.candidates, 0U);
+  EXPECT_EQ(work.generator_passes, 0U);
+  EXPECT_EQ(work.local_search_rounds, 0U);
+  EXPECT_EQ(encode_snapshot(*decoded), bytes);
+  std::remove(path.c_str());
+}
+
 TEST(Snapshot, RoundTripUnderEvictionPressure) {
   // A cache smaller than the workload: save/load must reproduce exactly the
   // surviving entries and their recency, not the full history.

@@ -95,6 +95,31 @@ TEST(Solve, ExhaustiveAndHeuristicAgreeOnFig5) {
   EXPECT_LT(r->solution.failure_probability, 0.2);
 }
 
+TEST(Solve, ParetoSweepHonorsHeuristicOptions) {
+  // The heuristic front must run on the caller's HeuristicOptions: narrowing
+  // the beam or the replication cap changes what the generators emit.
+  const auto pipe = gen::random_uniform_pipeline(5, 71);
+  const auto plat = gen::random_fully_heterogeneous({.processors = 6}, 72);
+  SolveOptions defaults;
+  defaults.method = Method::Heuristic;
+  defaults.pareto_thresholds = 8;
+  const auto reference = solve_pareto_front(pipe, plat, defaults);
+  ASSERT_TRUE(reference.has_value());
+  EXPECT_EQ(reference->work.generator_passes, 1U);
+  ASSERT_GT(reference->work.candidates, 0U);
+
+  SolveOptions narrow_beam = defaults;
+  narrow_beam.heuristic.beam_width = 1;
+  SolveOptions no_replication = defaults;
+  no_replication.heuristic.max_replication = 1;
+  for (const SolveOptions& options : {narrow_beam, no_replication}) {
+    const auto narrowed = solve_pareto_front(pipe, plat, options);
+    ASSERT_TRUE(narrowed.has_value());
+    EXPECT_EQ(narrowed->work.generator_passes, 1U);
+    EXPECT_LT(narrowed->work.candidates, reference->work.candidates);
+  }
+}
+
 TEST(Solve, InfeasiblePropagates) {
   const auto pipe = gen::random_uniform_pipeline(3, 73);
   const auto plat = gen::random_fully_homogeneous({.processors = 3}, 74);
