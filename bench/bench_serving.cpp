@@ -291,7 +291,7 @@ void print_tables() {
   const double wire_per_sec = static_cast<double>(solve_lines.size()) / wire_elapsed;
 
   // Concurrent TCP: the same warm lookups through the full concurrent front
-  // — sockets, per-connection session threads, and the broker's shared
+  // — sockets, the accepting session workers, and the broker's shared
   // batch queue (`solve_batched`). One row per connection count.
   constexpr std::size_t kTotalConcurrentSolves = 96;
   struct ConcurrentRow {

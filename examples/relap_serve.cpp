@@ -26,7 +26,8 @@
 //   --max-stages N     admission cap on pipeline stages
 //   --max-processors N admission cap on platform processors
 //   --max-connections N    concurrent TCP connection cap (extra connections
-//                          get `err overloaded` and are closed)
+//                          get `err overloaded` and are closed); N + 1
+//                          worker threads serve TCP for the server's life
 //   --read-timeout-ms N    reap TCP connections idle this long (0 = never)
 //   --write-timeout-ms N   give up on peers not draining responses (0 = off)
 //   --queue-high-watermark N  shed lowest-priority queued work past this
@@ -229,7 +230,7 @@ int main(int argc, char** argv) {
     std::signal(SIGINT, SIG_DFL);
     g_server = nullptr;
     // Graceful drain: refuse any further broker work before the snapshot is
-    // saved (connection threads have already been joined by serve()).
+    // saved (serve() has joined its worker threads).
     broker.begin_shutdown();
     std::fprintf(stderr, "relap_serve: served %zu session(s)\n", sessions);
   } else {

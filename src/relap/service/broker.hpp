@@ -156,6 +156,9 @@ class Broker {
   /// Aggregate observability: every counter/histogram the broker records
   /// (metrics.hpp). Live — reading does not reset anything.
   [[nodiscard]] const ServiceMetrics& metrics() const { return metrics_; }
+  /// The same registry for a transport front to record into (the TCP
+  /// front's connection counters).
+  [[nodiscard]] ServiceMetrics& metrics() { return metrics_; }
 
   /// One-line JSON document combining `metrics()` with the cache counters,
   /// journal counters and process uptime:

@@ -13,7 +13,10 @@ std::string json_number(double value) {
   return buffer;
 }
 
-void append_counter(std::string& out, const char* name, const Counter& counter, bool& first) {
+/// A `Counter` or an `UpDownCounter`: both export as a plain integer.
+template <class IntegerCounter>
+void append_counter(std::string& out, const char* name, const IntegerCounter& counter,
+                    bool& first) {
   if (!first) out += ',';
   first = false;
   out += '"';
@@ -107,6 +110,10 @@ std::string ServiceMetrics::to_json() const {
   append_counter(out, "journal_records_replayed", journal_records_replayed, first);
   append_counter(out, "journal_records_discarded_torn", journal_records_discarded_torn, first);
   append_gauge(out, "recovery_seconds", recovery_seconds, first);
+  append_counter(out, "connections_accepted_total", connections_accepted_total, first);
+  append_counter(out, "connections_refused_total", connections_refused_total, first);
+  append_counter(out, "connections_reaped_total", connections_reaped_total, first);
+  append_counter(out, "connections_active", connections_active, first);
   out += ",\"latency\":{";
   first = true;
   append_histogram(out, "queue_wait", queue_wait, first);

@@ -39,6 +39,16 @@ class Counter {
   std::atomic<std::uint64_t> value_{0};
 };
 
+/// Instantaneous count its holders move up and down (e.g. live connections).
+class UpDownCounter {
+ public:
+  void add(std::int64_t n) { value_.fetch_add(n, std::memory_order_relaxed); }
+  [[nodiscard]] std::int64_t value() const { return value_.load(std::memory_order_relaxed); }
+
+ private:
+  std::atomic<std::int64_t> value_{0};
+};
+
 /// Last-write-wins instantaneous value.
 class Gauge {
  public:
@@ -118,6 +128,12 @@ struct ServiceMetrics {
   Counter journal_records_replayed;        ///< intact records re-inserted on recovery
   Counter journal_records_discarded_torn;  ///< torn tails dropped on recovery
   Gauge recovery_seconds;                  ///< wall time of the last recover()
+  /// Connection lifecycle of the TCP front (server.hpp), which records it
+  /// through `Broker::metrics()`.
+  Counter connections_accepted_total;  ///< every connection accept() returned
+  Counter connections_refused_total;   ///< of those, closed unserved (overloaded/draining)
+  Counter connections_reaped_total;    ///< sessions closed by the idle read timeout
+  UpDownCounter connections_active;    ///< sessions being served right now
 
   LatencyHistogram queue_wait;    ///< solve_batched enqueue -> dispatch
   LatencyHistogram canonicalize;  ///< admission + canonicalization

@@ -10,8 +10,8 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <istream>
-#include <mutex>
 #include <ostream>
 #include <thread>
 #include <utility>
@@ -493,10 +493,28 @@ bool send_all(int fd, std::string_view bytes, int write_timeout_ms) {
   return true;
 }
 
+/// Longest partial line a connection buffers before it is refused: a `proc`
+/// row of `max_processor_records` link values plus its four fields, at 32
+/// bytes per token (a double in `format_double` form takes at most 24).
+std::size_t max_line_bytes(const SessionOptions& options) {
+  return 64 + (options.max_processor_records + 4) * 32;
+}
+
+/// Claims one of `cap` session slots; false (claiming nothing) when all are
+/// taken, so a refusing worker never holds a slot.
+bool take_slot(std::atomic<std::size_t>& active, std::size_t cap) {
+  std::size_t taken = active.load(std::memory_order_acquire);
+  while (taken < cap) {
+    if (active.compare_exchange_weak(taken, taken + 1, std::memory_order_acq_rel)) return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 void TcpServer::serve_connection(Broker& broker, int conn, const ServerOptions& options) {
   Session session(broker, options.session);
+  const std::size_t max_line = max_line_bytes(options.session);
   std::string pending;
   std::string response;
   char buffer[4096];
@@ -526,6 +544,7 @@ void TcpServer::serve_connection(Broker& broker, int conn, const ServerOptions& 
       if (options.read_timeout_ms > 0 && idle_ms >= options.read_timeout_ms) {
         (void)send_all(conn, "err 0 timeout connection idle past its read timeout, closing\n",
                        options.write_timeout_ms);
+        broker.metrics().connections_reaped_total.add(1);
         break;
       }
       continue;
@@ -549,6 +568,15 @@ void TcpServer::serve_connection(Broker& broker, int conn, const ServerOptions& 
       start = newline + 1;
     }
     pending.erase(0, start);
+    if (alive && pending.size() > max_line) {
+      // No legitimate line is this long: stop buffering before the peer
+      // balloons memory past the wire caps.
+      (void)send_all(conn,
+                     "err 0 oversized line exceeds " + std::to_string(max_line) + " bytes\n",
+                     options.write_timeout_ms);
+      pending.clear();
+      break;
+    }
   }
   // A final unterminated line (EOF mid-line) still gets served before the
   // peer goes away.
@@ -557,7 +585,6 @@ void TcpServer::serve_connection(Broker& broker, int conn, const ServerOptions& 
     (void)session.handle_line(pending, response);
     (void)send_all(conn, response, options.write_timeout_ms);
   }
-  ::close(conn);
   if (session.shutdown_requested()) {
     // Session-issued `shutdown` drains the whole service: the broker starts
     // refusing new work and the accept loop winds down.
@@ -567,46 +594,80 @@ void TcpServer::serve_connection(Broker& broker, int conn, const ServerOptions& 
 }
 
 std::size_t TcpServer::serve(Broker& broker, const ServerOptions& options) {
-  struct ConnectionCount {
-    std::mutex mutex;
-    std::size_t active = 0;
-  } connections;
-  std::vector<std::thread> threads;
-  std::size_t served = 0;
-  while (!stop_requested() && fd_ >= 0) {
-    const int conn = ::accept(fd_, nullptr, nullptr);
-    if (conn < 0) {
-      if (errno == EINTR) continue;
-      break;  // request_stop()'s socket shutdown lands here
-    }
-    if (stop_requested()) {
-      (void)send_all(conn, "err 0 shutting-down server is draining\n", options.write_timeout_ms);
-      ::close(conn);
-      continue;
-    }
-    {
-      std::lock_guard<std::mutex> lock(connections.mutex);
-      if (connections.active >= options.max_connections) {
-        // Connection-level load shedding: refuse instead of queueing
-        // unboundedly behind busy sessions.
-        (void)send_all(conn,
-                       "err 0 overloaded connection limit (" +
-                           std::to_string(options.max_connections) + ") reached\n",
-                       options.write_timeout_ms);
-        ::close(conn);
+  if (fd_ < 0) return 0;
+  ServiceMetrics& metrics = broker.metrics();
+  std::atomic<std::size_t> active{0};
+  std::atomic<std::size_t> served{0};
+  const auto refuse = [&](int conn, const std::string& line) {
+    metrics.connections_refused_total.add(1);
+    (void)send_all(conn, line, options.write_timeout_ms);
+    ::close(conn);
+  };
+  // Every worker blocks in accept() on the shared listener; the kernel's
+  // listen backlog is the only queue. request_stop()'s socket shutdown
+  // wakes them all.
+  const auto worker = [&] {
+    while (!stop_requested()) {
+      const int conn = ::accept(fd_, nullptr, nullptr);
+      if (conn < 0) {
+        if (errno == EINTR || errno == ECONNABORTED) continue;
+        return;  // request_stop()'s socket shutdown lands here
+      }
+      metrics.connections_accepted_total.add(1);
+      if (stop_requested()) {
+        refuse(conn, "err 0 shutting-down server is draining\n");
         continue;
       }
-      ++connections.active;
-    }
-    ++served;
-    threads.emplace_back([this, &broker, &options, &connections, conn] {
+      if (!take_slot(active, options.max_connections)) {
+        // Connection-level load shedding: refuse instead of queueing
+        // unboundedly behind busy sessions.
+        refuse(conn, "err 0 overloaded connection limit (" +
+                         std::to_string(options.max_connections) + ") reached\n");
+        continue;
+      }
+      served.fetch_add(1, std::memory_order_relaxed);
+      metrics.connections_active.add(1);
       serve_connection(broker, conn, options);
-      std::lock_guard<std::mutex> lock(connections.mutex);
-      --connections.active;
-    });
+      metrics.connections_active.add(-1);
+      // Release before close: a peer that saw its connection end finds the
+      // slot free on its next connect.
+      active.fetch_sub(1, std::memory_order_release);
+      ::close(conn);
+    }
+  };
+  // One worker per slot plus one more, so that with every slot busy some
+  // worker is still accepting to answer `err overloaded`. The calling
+  // thread is that extra worker. A worker that throws (or a thread that
+  // cannot be started) stops the whole front; serve() rethrows it once
+  // every worker has been joined.
+  std::vector<std::exception_ptr> failures(options.max_connections + 1);
+  const auto fail = [&](std::size_t i) {
+    failures[i] = std::current_exception();
+    request_stop();
+  };
+  const auto guarded = [&](std::size_t i) {
+    try {
+      worker();
+    } catch (...) {
+      fail(i);
+    }
+  };
+  std::vector<std::thread> threads;
+  threads.reserve(options.max_connections);
+  for (std::size_t i = 0; i < options.max_connections; ++i) {
+    try {
+      threads.emplace_back(guarded, i);
+    } catch (...) {
+      fail(i);
+      break;
+    }
   }
+  guarded(options.max_connections);
   for (std::thread& thread : threads) thread.join();
-  return served;
+  for (const std::exception_ptr& failure : failures) {
+    if (failure) std::rethrow_exception(failure);
+  }
+  return served.load(std::memory_order_relaxed);
 }
 
 void TcpServer::request_stop() {

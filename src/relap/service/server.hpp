@@ -52,7 +52,10 @@
 /// Transports: `serve_stream` runs a session over any istream/ostream pair
 /// (relap_serve wires stdin/stdout); `TcpServer` accepts loopback-only TCP
 /// connections and serves up to `max_connections` of them concurrently, one
-/// thread and one fresh `Session` per connection. Responses within a
+/// fresh `Session` per connection, on a fixed set of `max_connections + 1`
+/// worker threads that live for the whole `serve()`: each blocks in
+/// `accept()` on the shared listener and serves what it accepts, so no
+/// thread is created per connection. Responses within a
 /// connection stay strictly ordered; across connections the broker's shared
 /// batch queue (`Broker::solve_batched`) is what coalesces, dedupes and
 /// priority-orders the actual solving — so concurrent serving returns
@@ -60,7 +63,10 @@
 ///
 /// Overload behavior on the TCP front (every limit answers with a
 /// structured `err` line, never a hang):
-///   - connections past `max_connections`: `err overloaded ...`, closed.
+///   - connections past `max_connections`: `err overloaded ...`, closed (the
+///     extra worker answers these while every session slot is busy).
+///   - a partial line longer than any legitimate one (a `proc` row of
+///     `max_processor_records` links): `err oversized ...`, closed.
 ///   - a connection idle past `read_timeout_ms`: `err timeout ...`, reaped.
 ///   - a peer not draining its responses past `write_timeout_ms`: closed.
 ///   - lines arriving after a stop request: `err shutting-down ...`.
@@ -81,7 +87,9 @@ namespace relap::service {
 
 struct SessionOptions {
   /// Wire-level caps, enforced before any record is buffered, so a
-  /// malicious peer cannot balloon memory regardless of broker caps.
+  /// malicious peer cannot balloon memory regardless of broker caps. The TCP
+  /// front also derives its longest bufferable line from
+  /// `max_processor_records`.
   std::size_t max_stage_records = 4096;
   std::size_t max_processor_records = 4096;
   std::size_t max_instances = 1024;
@@ -147,7 +155,8 @@ struct ServerOptions {
 
   SessionOptions session;
   /// Concurrent connection cap; connections past it are refused with
-  /// `err overloaded` and closed.
+  /// `err overloaded` and closed. It also sizes the worker set:
+  /// `max_connections + 1` threads live for the whole `serve()`.
   std::size_t max_connections = 8;
   /// Reap a connection idle for this long (0 = never). The reaped peer gets
   /// one final `err timeout` line.
@@ -176,10 +185,12 @@ class TcpServer {
   [[nodiscard]] std::uint16_t port() const { return port_; }
   [[nodiscard]] bool bound() const { return fd_ >= 0; }
 
-  /// Accept loop: serves sessions concurrently until one requests shutdown,
-  /// `request_stop()` is called, or the socket errors out. Returns the
-  /// number of connections accepted and served (refused-overloaded ones not
-  /// counted). All connection threads are joined before returning.
+  /// Runs `max_connections + 1` accepting workers (the calling thread is one
+  /// of them) until a session requests shutdown, `request_stop()` is called,
+  /// or the socket errors out. Returns the number of connections served
+  /// (refused ones not counted). Every worker has finished its session and
+  /// been joined before it returns. Connection counts go to the broker's
+  /// metrics (`connections_*` in `metrics_json`).
   std::size_t serve(Broker& broker, const ServerOptions& options);
 
   /// Asks a running `serve` to wind down: stop accepting, answer further

@@ -66,25 +66,26 @@ std::string format_fixed(double value, int decimals) {
 }
 
 std::string format_double(double value) {
+  char buffer[64];
   // Small integers print as integers ("100", not "1e+02"): instance files
   // and describe() strings are read by humans first.
-  if (value == static_cast<double>(static_cast<long long>(value)) && value > -1e15 &&
-      value < 1e15) {
-    char buffer[32];
-    std::snprintf(buffer, sizeof(buffer), "%lld", static_cast<long long>(value));
-    return buffer;
+  if (value > -1e15 && value < 1e15 &&
+      value == static_cast<double>(static_cast<long long>(value))) {
+    return std::string(
+        buffer, std::to_chars(buffer, buffer + sizeof buffer, static_cast<long long>(value)).ptr);
   }
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  // Trim to the shortest representation that still round-trips.
-  for (int precision = 1; precision < 17; ++precision) {
-    char shorter[64];
-    std::snprintf(shorter, sizeof(shorter), "%.*g", precision, value);
+  // The fewest significant digits (in %g notation) that still round-trip;
+  // values that never do (NaN) print at 17 digits.
+  char* end = buffer;
+  for (int precision = 1; precision <= 17; ++precision) {
+    end = std::to_chars(buffer, buffer + sizeof buffer, value, std::chars_format::general,
+                        precision)
+              .ptr;
     double reparsed = 0.0;
-    std::sscanf(shorter, "%lf", &reparsed);
-    if (reparsed == value) return shorter;
+    std::from_chars(buffer, end, reparsed);
+    if (reparsed == value) break;
   }
-  return buffer;
+  return std::string(buffer, end);
 }
 
 std::string join(const std::vector<std::string>& tokens, std::string_view sep) {

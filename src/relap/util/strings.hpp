@@ -28,7 +28,9 @@ namespace relap::util {
 /// Fixed-notation formatting with the given number of decimals.
 [[nodiscard]] std::string format_fixed(double value, int decimals);
 
-/// Shortest round-trip-ish representation used in instance files.
+/// Shortest round-trip representation used in instance files and on the
+/// wire: %g notation at the fewest significant digits that parse back to
+/// `value`, and integers below 1e15 in magnitude without an exponent.
 [[nodiscard]] std::string format_double(double value);
 
 /// Joins tokens with a separator.

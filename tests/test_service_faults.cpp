@@ -3,9 +3,10 @@
 // writes leave the committed snapshot intact, stalled solves are cancelled
 // at their deadline (or degraded to a heuristic answer), skewed clocks
 // expire budgets deterministically, short socket writes are retried, EOF
-// mid-line still serves the final line, idle connections are reaped, and
-// overloaded servers refuse connections — all as structured errors, never
-// an assert, hang or torn state.
+// mid-line still serves the final line, idle connections are reaped,
+// overloaded servers refuse connections (and free the slot again once the
+// occupant leaves), and an endless partial line is cut off — all as
+// structured errors, never an assert, hang or torn state.
 
 #include "relap/service/faultpoint.hpp"
 
@@ -352,6 +353,47 @@ TEST_F(Faults, ConnectionsPastTheCapAreRefusedAsOverloaded) {
   // The occupant is unaffected and can finish its session.
   occupant.send_text("quit\n");
   EXPECT_EQ(occupant.read_all(), "ok bye\n");
+
+  // Its slot is free again once its connection ended: the next client is
+  // served, not refused.
+  Client next(server.port());
+  ASSERT_TRUE(next.connected());
+  next.send_text("ping\nquit\n");
+  EXPECT_EQ(next.read_all(), "ok pong\nok bye\n");
+  EXPECT_EQ(broker.metrics().connections_accepted_total.value(), 3U);
+  EXPECT_EQ(broker.metrics().connections_refused_total.value(), 1U);
+}
+
+TEST_F(Faults, ZeroConnectionCapRefusesEveryConnection) {
+  Broker broker;
+  ServerOptions options;
+  options.max_connections = 0;
+  ServerFixture server(broker, options);
+  ASSERT_TRUE(server.running());
+  for (int i = 0; i < 2; ++i) {
+    Client refused(server.port());
+    ASSERT_TRUE(refused.connected());
+    const std::string response = refused.read_all();
+    EXPECT_EQ(response.rfind("err 0 overloaded", 0), 0U) << response;
+  }
+}
+
+TEST_F(Faults, OversizedPartialLineIsRefusedAndClosed) {
+  Broker broker;
+  ServerOptions options;
+  options.session.max_processor_records = 16;
+  ServerFixture server(broker, options);
+  ASSERT_TRUE(server.running());
+  Client client(server.port());
+  ASSERT_TRUE(client.connected());
+  // With 16 processor records the longest legitimate line (a `proc` row of
+  // 16 link values) is a few hundred bytes; 2 KiB without a newline is past
+  // the cap. (Small enough that the server reads all of it before closing.)
+  client.send_text("ping\n");
+  EXPECT_EQ(client.read_until("ok pong\n"), "ok pong\n");
+  client.send_text(std::string(2048, 'x'));
+  client.finish_writing();
+  EXPECT_EQ(client.read_all(), "err 0 oversized line exceeds 704 bytes\n");
 }
 
 TEST_F(Faults, LateLinesAfterShutdownGetShuttingDown) {

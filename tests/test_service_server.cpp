@@ -1,8 +1,9 @@
 // Tests for service/server.hpp: the line protocol round-trips instances and
 // solves through a scripted session, malformed wire input always comes back
 // as a structured `err` line (never an assert — the raw-InstanceData
-// admission path is the only entry point), wire-level caps bound memory, and
-// the loopback TCP transport serves the same protocol end to end.
+// admission path is the only entry point), wire-level caps bound memory, the
+// loopback TCP transport serves the same protocol end to end, and connection
+// churn leaves the server's threads and address space flat.
 
 #include "relap/service/server.hpp"
 
@@ -14,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -378,6 +380,61 @@ TEST(Server, TcpLoopbackServesSessionsUntilShutdown) {
 
   accept_thread.join();
   EXPECT_EQ(sessions, 2U);
+}
+
+/// `Threads` and `VmSize` (kB) of this process, from /proc/self/status.
+struct ProcStatus {
+  long threads = -1;
+  long vm_size_kb = -1;
+};
+
+ProcStatus read_proc_status() {
+  ProcStatus status;
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    const char* value = line.c_str() + line.find(':') + 1;
+    if (line.rfind("Threads:", 0) == 0) status.threads = std::strtol(value, nullptr, 10);
+    if (line.rfind("VmSize:", 0) == 0) status.vm_size_kb = std::strtol(value, nullptr, 10);
+  }
+  return status;
+}
+
+TEST(Server, ConnectionChurnKeepsThreadsAndAddressSpaceFlat) {
+  Broker broker;
+  auto bound = TcpServer::bind_localhost(0);
+  ASSERT_TRUE(bound.has_value()) << bound.error().to_string();
+  TcpServer server = std::move(bound.value());
+  ServerOptions options;
+  options.max_connections = 2;
+  std::thread accept_thread([&] { (void)server.serve(broker, options); });
+
+  const auto churn = [&](int connections) {
+    for (int i = 0; i < connections; ++i) {
+      Client client(server.port());
+      ASSERT_TRUE(client.connected());
+      client.send_text("ping\nquit\n");
+      ASSERT_EQ(client.read_all(), "ok pong\nok bye\n");
+    }
+  };
+  // Warm-up: every worker has served (and its allocator arena exists).
+  churn(100);
+  const ProcStatus before = read_proc_status();
+  const std::uint64_t accepted_before = broker.metrics().connections_accepted_total.value();
+  churn(1000);
+  const ProcStatus after = read_proc_status();
+
+  EXPECT_GT(before.threads, 0);
+  EXPECT_GT(before.vm_size_kb, 0);
+  EXPECT_EQ(after.threads, before.threads);
+  // Less than one 8 MiB thread stack: no per-connection thread survives.
+  EXPECT_LT(after.vm_size_kb - before.vm_size_kb, 8 * 1024);
+  EXPECT_EQ(broker.metrics().connections_accepted_total.value() - accepted_before, 1000U);
+  EXPECT_EQ(broker.metrics().connections_refused_total.value(), 0U);
+  EXPECT_EQ(broker.metrics().connections_active.value(), 0);
+
+  server.request_stop();
+  accept_thread.join();
 }
 
 // --- Concurrent serving. ------------------------------------------------------

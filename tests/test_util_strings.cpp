@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace relap::util {
 namespace {
 
@@ -65,6 +67,23 @@ TEST(FormatDouble, RoundTripsThroughParse) {
     ASSERT_TRUE(parsed.has_value()) << format_double(v);
     EXPECT_DOUBLE_EQ(*parsed, v);
   }
+}
+
+// The wire and instance files carry these exact bytes: %g-style notation at
+// the fewest significant digits that round-trip, integers below 1e15 bare.
+TEST(FormatDouble, PinsShortestGeneralNotation) {
+  EXPECT_EQ(format_double(0.0001), "0.0001");
+  EXPECT_EQ(format_double(1e-5), "1e-05");
+  EXPECT_EQ(format_double(1e15), "1e+15");
+  EXPECT_EQ(format_double(999999999999999.0), "999999999999999");
+  EXPECT_EQ(format_double(-1e15), "-1e+15");
+  EXPECT_EQ(format_double(5e-324), "5e-324");
+  EXPECT_EQ(format_double(-0.0), "0");
+  EXPECT_EQ(format_double(-1.5), "-1.5");
+  EXPECT_EQ(format_double(0.1 + 0.2), "0.30000000000000004");
+  EXPECT_EQ(format_double(123456.789), "123456.789");
+  EXPECT_EQ(format_double(1e300), "1e+300");
+  EXPECT_EQ(format_double(std::numeric_limits<double>::infinity()), "inf");
 }
 
 TEST(Join, Basics) {
