@@ -10,6 +10,7 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
+#include "pareto_rows.hpp"
 #include "relap/algorithms/comm_hom.hpp"
 #include "relap/algorithms/exhaustive.hpp"
 #include "relap/gen/pipelines.hpp"
@@ -81,6 +82,12 @@ void print_tables() {
     }
   }
   std::printf("threshold probes audited: %zu, optimal: %zu (expect 100%%)\n", audited, agreed);
+
+  benchutil::print_pareto_rows([](std::size_t processors, std::uint64_t seed) {
+    gen::PlatformGenOptions options;
+    options.processors = processors;
+    return gen::random_comm_homogeneous(options, seed);
+  });
 }
 
 void bm_alg3(benchmark::State& state) {

@@ -8,6 +8,7 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
+#include "pareto_rows.hpp"
 #include "relap/algorithms/exhaustive.hpp"
 #include "relap/algorithms/fully_hom.hpp"
 #include "relap/gen/pipelines.hpp"
@@ -70,6 +71,12 @@ void print_tables() {
     }
   }
   std::printf("threshold probes audited: %zu, optimal: %zu (expect 100%%)\n", audited, agreed);
+
+  benchutil::print_pareto_rows([](std::size_t processors, std::uint64_t seed) {
+    gen::PlatformGenOptions options;
+    options.processors = processors;
+    return gen::random_fully_homogeneous(options, seed);
+  });
 }
 
 void bm_alg1(benchmark::State& state) {

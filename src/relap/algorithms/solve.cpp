@@ -4,6 +4,7 @@
 #include "relap/algorithms/fully_hom.hpp"
 #include "relap/algorithms/pareto_driver.hpp"
 #include "relap/util/assert.hpp"
+#include "relap/util/pareto.hpp"
 
 namespace relap::algorithms {
 
@@ -20,12 +21,11 @@ util::Expected<SolveReport> wrap(Result r, std::string algorithm, bool exact) {
   return SolveReport{std::move(r).take(), std::move(algorithm), exact};
 }
 
-/// Shared dispatch skeleton for both optimization directions.
+/// Shared dispatch skeleton for both optimization directions and the front.
 template <typename PolyFn, typename ExhaustiveFn, typename HeuristicFn>
-util::Expected<SolveReport> dispatch(const pipeline::Pipeline& pipeline,
-                                     const platform::Platform& platform,
-                                     const SolveOptions& options, PolyFn&& poly,
-                                     ExhaustiveFn&& exhaustive, HeuristicFn&& heuristic) {
+auto dispatch(const pipeline::Pipeline& pipeline, const platform::Platform& platform,
+              const SolveOptions& options, PolyFn&& poly, ExhaustiveFn&& exhaustive,
+              HeuristicFn&& heuristic) {
   const bool poly_exact = has_exact_polynomial(platform);
   switch (options.method) {
     case Method::Exact:
@@ -42,6 +42,41 @@ util::Expected<SolveReport> dispatch(const pipeline::Pipeline& pipeline,
     }
   }
   RELAP_UNREACHABLE("invalid Method");
+}
+
+/// The exact front on a polynomial class. By Lemma 1 (Theorems 5-6) one
+/// interval is optimal there, so the front is the family of k-replica single
+/// intervals, k = 1..m. Each k's threshold is the FP of its k most reliable
+/// processors, handed to one Algorithm 2 / 4 call; the non-dominated answers
+/// are the front.
+util::Expected<FrontReport> polynomial_pareto(const pipeline::Pipeline& pipeline,
+                                              const platform::Platform& platform) {
+  const bool fully_hom = platform.is_fully_homogeneous();
+  const std::vector<platform::ProcessorId> reliable = platform.by_reliability();
+  util::ParetoFront pareto;
+  std::vector<Solution> solutions;
+  for (std::size_t k = 1; k <= reliable.size(); ++k) {
+    const auto single = mapping::IntervalMapping::single_interval(
+        pipeline.stage_count(),
+        std::vector<platform::ProcessorId>(reliable.begin(), reliable.begin() + k));
+    const double threshold = mapping::failure_probability(platform, single);
+    Result solved = fully_hom ? fully_hom_min_latency_for_fp(pipeline, platform, threshold)
+                              : comm_hom_min_latency_for_fp(pipeline, platform, threshold);
+    if (!solved) return solved.error();
+    if (pareto.insert({solved->latency, solved->failure_probability, solutions.size()})) {
+      solutions.push_back(std::move(solved).take());
+    }
+  }
+  FrontReport report;
+  report.algorithm = fully_hom ? "algorithm-2 pareto (fully homogeneous)"
+                               : "algorithm-4 pareto (comm homogeneous, failure homogeneous)";
+  report.exact = true;
+  for (const util::ParetoPoint& point : pareto.points()) {
+    Solution& solution = solutions[point.payload];
+    report.front.push_back(
+        {solution.latency, solution.failure_probability, std::move(solution.mapping)});
+  }
+  return report;
 }
 
 }  // namespace
@@ -120,18 +155,9 @@ util::Expected<FrontReport> solve_pareto_front(const pipeline::Pipeline& pipelin
     }
     return FrontReport{std::move(front), "heuristic front sweep", false, 0, work};
   };
-  switch (options.method) {
-    case Method::Exact:
-    case Method::Exhaustive: return exhaustive();
-    case Method::Heuristic: return heuristic();
-    case Method::Auto: {
-      const std::uint64_t candidates =
-          interval_mapping_count(pipeline.stage_count(), platform.processor_count());
-      if (candidates <= options.auto_exhaustive_budget) return exhaustive();
-      return heuristic();
-    }
-  }
-  RELAP_UNREACHABLE("invalid Method");
+  return dispatch(
+      pipeline, platform, options, [&] { return polynomial_pareto(pipeline, platform); },
+      exhaustive, heuristic);
 }
 
 }  // namespace relap::algorithms

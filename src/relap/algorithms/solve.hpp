@@ -11,6 +11,11 @@
 ///  * Fully Heterogeneous                     -> NP-hard (Theorem 7): same
 ///    exhaustive-or-heuristic policy.
 ///
+/// The same dispatch serves the whole latency/FP front: on the two
+/// polynomial classes Lemma 1 makes it the single-interval family
+/// {(T(k), FP(k)) : k = 1..m}, which Algorithm 2 / 4 swept over k computes
+/// exactly in microseconds.
+///
 /// The report says which algorithm ran and whether the answer is certified
 /// optimal, so callers (and the benches) can tell exact answers from
 /// best-effort ones.
@@ -36,8 +41,8 @@ struct SolveOptions {
   /// candidate mappings (see exhaustive.hpp's interval_mapping_count).
   std::uint64_t auto_exhaustive_budget = 2'000'000;
   /// Latency thresholds swept when `solve_pareto_front` falls back to the
-  /// heuristic front (pareto_driver.hpp); ignored on the exhaustive path,
-  /// which enumerates the exact front directly.
+  /// heuristic front (pareto_driver.hpp); ignored on the exact paths, which
+  /// compute the front directly.
   std::size_t pareto_thresholds = 24;
   ExhaustiveOptions exhaustive;
   HeuristicOptions heuristic;
@@ -59,7 +64,7 @@ struct FrontReport {
   std::string algorithm;
   /// True iff the front is the certified exact latency/FP front.
   bool exact = false;
-  /// Candidates evaluated by the exhaustive path (0 on the heuristic path).
+  /// Candidates evaluated by the exhaustive path (0 on the other paths).
   std::uint64_t evaluations = 0;
   /// Solve-time work counters of the heuristic front sweep (all 0 on the
   /// other paths). Not persisted: a front loaded from a snapshot or journal
@@ -77,13 +82,18 @@ struct FrontReport {
     const pipeline::Pipeline& pipeline, const platform::Platform& platform,
     double max_failure_probability, const SolveOptions& options = {});
 
-/// The full latency/FP Pareto front under the same dispatch policy: exact
-/// (exhaustive) when the candidate count fits the budget, the heuristic
-/// threshold sweep otherwise. Method::Exact / Method::Exhaustive force the
-/// exhaustive path (error "budget" if the space exceeds the evaluation
-/// budget); Method::Heuristic forces the sweep, which runs
+/// The full latency/FP Pareto front under the same dispatch policy. Auto and
+/// Exact: on a polynomial class (fully homogeneous, or comm homogeneous with
+/// homogeneous failures) the exact front from Algorithm 2 / 4 run once per
+/// k = 1..m, its threshold the FP of the k most reliable processors
+/// ("algorithm-2 pareto ..." / "algorithm-4 pareto ..."). Otherwise Auto is
+/// exhaustive when the candidate count fits the budget and the heuristic
+/// threshold sweep beyond it, and Exact is exhaustive (error "budget" if
+/// the space exceeds the evaluation budget). Method::Exhaustive always
+/// enumerates; Method::Heuristic always runs the sweep,
 /// `heuristic_pareto_front` with `options.heuristic` and
-/// `options.pareto_thresholds`.
+/// `options.pareto_thresholds`, so its distance from the exact front stays
+/// measurable.
 [[nodiscard]] util::Expected<FrontReport> solve_pareto_front(const pipeline::Pipeline& pipeline,
                                                              const platform::Platform& platform,
                                                              const SolveOptions& options = {});

@@ -13,6 +13,8 @@
 #include <exception>
 #include <istream>
 #include <ostream>
+#include <streambuf>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -62,6 +64,46 @@ std::string format_ms(double seconds) {
   char buffer[32];
   std::snprintf(buffer, sizeof buffer, "%.3f", seconds * 1e3);
   return buffer;
+}
+
+/// Longest quoted token an error message echoes back.
+constexpr std::size_t kQuotedTokenBytes = 64;
+
+/// `'token'` for an error message, cut to `kQuotedTokenBytes` plus `...` so
+/// a huge offending token never comes back whole.
+std::string quoted(std::string_view token) {
+  std::string out = "'";
+  out += token.substr(0, kQuotedTokenBytes);
+  if (token.size() > kQuotedTokenBytes) out += "...";
+  out += '\'';
+  return out;
+}
+
+/// Longest line either transport buffers before it is refused: a `proc`
+/// row of `max_processor_records` link values plus its four fields, at 32
+/// bytes per token (a double in `format_double` form takes at most 24).
+std::size_t max_line_bytes(const SessionOptions& options) {
+  return 64 + (options.max_processor_records + 4) * 32;
+}
+
+std::string oversized_line_reply(std::size_t max_line) {
+  return "err 0 oversized line exceeds " + std::to_string(max_line) + " bytes\n";
+}
+
+enum class LineRead { Line, End, Oversized };
+
+/// Reads the next line into `line` (without its '\n'; a final unterminated
+/// line counts), buffering at most `cap` bytes: a longer line is refused
+/// before it is read whole.
+LineRead read_line(std::istream& in, std::string& line, std::size_t cap) {
+  line.clear();
+  std::streambuf& buffer = *in.rdbuf();
+  for (int c = buffer.sbumpc(); c != std::char_traits<char>::eof(); c = buffer.sbumpc()) {
+    if (c == '\n') return LineRead::Line;
+    if (line.size() == cap) return LineRead::Oversized;
+    line.push_back(static_cast<char>(c));
+  }
+  return line.empty() ? LineRead::End : LineRead::Line;
 }
 
 }  // namespace
@@ -136,7 +178,7 @@ void Session::handle_command(std::string_view line, std::string& out) {
       return;
     }
     if (instances_.erase(std::string(tokens[1])) == 0) {
-      emit_err(out, "protocol", "unknown instance '" + std::string(tokens[1]) + "'");
+      emit_err(out, "protocol", "unknown instance " + quoted(tokens[1]));
       return;
     }
     out += "ok drop ";
@@ -155,10 +197,10 @@ void Session::handle_command(std::string_view line, std::string& out) {
   if (command == "end" || command == "input" || command == "stage" || command == "proc" ||
       command == "links") {
     emit_err(out, "protocol",
-             "'" + std::string(command) + "' is only valid inside an instance block");
+             quoted(command) + " is only valid inside an instance block");
     return;
   }
-  emit_err(out, "protocol", "unknown command '" + std::string(command) + "'");
+  emit_err(out, "protocol", "unknown command " + quoted(command));
 }
 
 void Session::handle_block_line(std::string_view line, std::string& out) {
@@ -235,7 +277,7 @@ void Session::handle_block_line(std::string_view line, std::string& out) {
     for (std::size_t i = 0; i < 4; ++i) {
       const std::optional<double> value = util::parse_double(tokens[i + 1]);
       if (!value) {
-        emit_err(out, "protocol", "unparseable proc field '" + std::string(tokens[i + 1]) + "'");
+        emit_err(out, "protocol", "unparseable proc field " + quoted(tokens[i + 1]));
         return;
       }
       *fields[i] = *value;
@@ -247,7 +289,7 @@ void Session::handle_block_line(std::string_view line, std::string& out) {
     for (std::size_t i = 5; i < tokens.size(); ++i) {
       const std::optional<double> value = util::parse_double(tokens[i]);
       if (!value) {
-        emit_err(out, "protocol", "unparseable link bandwidth '" + std::string(tokens[i]) + "'");
+        emit_err(out, "protocol", "unparseable link bandwidth " + quoted(tokens[i]));
         return;
       }
       proc.links.push_back(*value);
@@ -267,7 +309,7 @@ void Session::handle_block_line(std::string_view line, std::string& out) {
     return;
   }
   emit_err(out, "protocol",
-           "unknown instance-block command '" + std::string(command) + "' (expecting end)");
+           "unknown instance-block command " + quoted(command) + " (expecting end)");
 }
 
 void Session::handle_solve(std::string_view args, std::string& out) {
@@ -278,7 +320,7 @@ void Session::handle_solve(std::string_view args, std::string& out) {
   }
   const auto it = instances_.find(std::string(tokens.front()));
   if (it == instances_.end()) {
-    emit_err(out, "protocol", "unknown instance '" + std::string(tokens.front()) + "'");
+    emit_err(out, "protocol", "unknown instance " + quoted(tokens.front()));
     return;
   }
 
@@ -289,7 +331,7 @@ void Session::handle_solve(std::string_view args, std::string& out) {
     const std::string_view token = tokens[i];
     const std::size_t eq = token.find('=');
     if (eq == std::string_view::npos || eq == 0 || eq + 1 == token.size()) {
-      emit_err(out, "protocol", "malformed knob '" + std::string(token) + "' (want key=value)");
+      emit_err(out, "protocol", "malformed knob " + quoted(token) + " (want key=value)");
       return;
     }
     const std::string_view key = token.substr(0, eq);
@@ -302,13 +344,13 @@ void Session::handle_solve(std::string_view args, std::string& out) {
       } else if (value == "minlat") {
         request.objective = Objective::MinLatencyForFp;
       } else {
-        emit_err(out, "protocol", "unknown objective '" + std::string(value) + "'");
+        emit_err(out, "protocol", "unknown objective " + quoted(value));
         return;
       }
     } else if (key == "threshold") {
       const std::optional<double> parsed = util::parse_double(value);
       if (!parsed) {
-        emit_err(out, "protocol", "unparseable threshold '" + std::string(value) + "'");
+        emit_err(out, "protocol", "unparseable threshold " + quoted(value));
         return;
       }
       request.threshold = *parsed;
@@ -322,25 +364,25 @@ void Session::handle_solve(std::string_view args, std::string& out) {
       } else if (value == "exhaustive") {
         request.method = algorithms::Method::Exhaustive;
       } else {
-        emit_err(out, "protocol", "unknown method '" + std::string(value) + "'");
+        emit_err(out, "protocol", "unknown method " + quoted(value));
         return;
       }
     } else if (key == "budget") {
       const std::optional<std::size_t> parsed = util::parse_size(value);
       if (!parsed) {
-        emit_err(out, "protocol", "unparseable budget '" + std::string(value) + "'");
+        emit_err(out, "protocol", "unparseable budget " + quoted(value));
         return;
       }
       request.max_evaluations = *parsed;
     } else if (key == "sweep") {
       const std::optional<std::size_t> parsed = util::parse_size(value);
       if (!parsed) {
-        emit_err(out, "protocol", "unparseable sweep '" + std::string(value) + "'");
+        emit_err(out, "protocol", "unparseable sweep " + quoted(value));
         return;
       }
       request.pareto_thresholds = *parsed;
     } else {
-      emit_err(out, "protocol", "unknown knob '" + std::string(key) + "'");
+      emit_err(out, "protocol", "unknown knob " + quoted(key));
       return;
     }
   }
@@ -402,12 +444,21 @@ void Session::handle_snapshot(std::string_view args, std::string& out) {
 bool serve_stream(Broker& broker, std::istream& in, std::ostream& out,
                   Session::Options options) {
   Session session(broker, options);
+  const std::size_t max_line = max_line_bytes(options);
   std::string line;
   std::string response;
   bool alive = true;
-  while (alive && std::getline(in, line)) {
+  while (alive) {
+    const LineRead read = read_line(in, line, max_line);
+    if (read == LineRead::End) break;
     response.clear();
-    alive = session.handle_line(line, response);
+    if (read == LineRead::Oversized) {
+      // The TCP front's cap and refusal: no legitimate line is this long.
+      response = oversized_line_reply(max_line);
+      alive = false;
+    } else {
+      alive = session.handle_line(line, response);
+    }
     out << response;
     out.flush();
   }
@@ -493,13 +544,6 @@ bool send_all(int fd, std::string_view bytes, int write_timeout_ms) {
   return true;
 }
 
-/// Longest partial line a connection buffers before it is refused: a `proc`
-/// row of `max_processor_records` link values plus its four fields, at 32
-/// bytes per token (a double in `format_double` form takes at most 24).
-std::size_t max_line_bytes(const SessionOptions& options) {
-  return 64 + (options.max_processor_records + 4) * 32;
-}
-
 /// Claims one of `cap` session slots; false (claiming nothing) when all are
 /// taken, so a refusing worker never holds a slot.
 bool take_slot(std::atomic<std::size_t>& active, std::size_t cap) {
@@ -571,9 +615,7 @@ void TcpServer::serve_connection(Broker& broker, int conn, const ServerOptions& 
     if (alive && pending.size() > max_line) {
       // No legitimate line is this long: stop buffering before the peer
       // balloons memory past the wire caps.
-      (void)send_all(conn,
-                     "err 0 oversized line exceeds " + std::to_string(max_line) + " bytes\n",
-                     options.write_timeout_ms);
+      (void)send_all(conn, oversized_line_reply(max_line), options.write_timeout_ms);
       pending.clear();
       break;
     }

@@ -47,10 +47,12 @@
 /// Numeric fields use the strict whole-token parsers from util/strings;
 /// anything unparseable answers `err protocol ...` and leaves the session
 /// usable. Error messages are flattened to one line so a response can never
-/// be mistaken for multiple protocol lines.
+/// be mistaken for multiple protocol lines, and quote at most a 64-byte
+/// prefix of the offending token.
 ///
 /// Transports: `serve_stream` runs a session over any istream/ostream pair
-/// (relap_serve wires stdin/stdout); `TcpServer` accepts loopback-only TCP
+/// (relap_serve wires stdin/stdout) and refuses a line past the TCP front's
+/// line cap the same way, with `err oversized ...`; `TcpServer` accepts loopback-only TCP
 /// connections and serves up to `max_connections` of them concurrently, one
 /// fresh `Session` per connection, on a fixed set of `max_connections + 1`
 /// worker threads that live for the whole `serve()`: each blocks in
@@ -87,8 +89,8 @@ namespace relap::service {
 
 struct SessionOptions {
   /// Wire-level caps, enforced before any record is buffered, so a
-  /// malicious peer cannot balloon memory regardless of broker caps. The TCP
-  /// front also derives its longest bufferable line from
+  /// malicious peer cannot balloon memory regardless of broker caps. Both
+  /// transports also derive their longest bufferable line from
   /// `max_processor_records`.
   std::size_t max_stage_records = 4096;
   std::size_t max_processor_records = 4096;
@@ -145,7 +147,9 @@ class Session {
 
 /// Serves one session over a stream pair, reading lines from `in` until it
 /// is exhausted or the session ends; responses are written (and flushed)
-/// after every line. Returns true iff the session requested shutdown.
+/// after every line. A line longer than the TCP front's cap answers
+/// `err 0 oversized ...` and ends the session. Returns true iff the session
+/// requested shutdown.
 bool serve_stream(Broker& broker, std::istream& in, std::ostream& out,
                   Session::Options options = {});
 

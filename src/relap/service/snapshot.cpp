@@ -140,7 +140,7 @@ std::string_view snapshot_build_stamp() {
   // Names the solver result-stream generation, not the binary: two builds
   // of the same sources interchange snapshots, a build whose solvers
   // produce different streams must not.
-  return "relap-solver-fronts-v1";
+  return "relap-solver-fronts-v2";
 }
 
 std::uint64_t snapshot_build_stamp_hash() { return util::fnv1a(snapshot_build_stamp()); }

@@ -189,6 +189,36 @@ TEST(Broker, Pow2RescaledDuplicateHitsCacheWithExactLatencyRelation) {
   EXPECT_EQ(warm->best().mapping, cold->best().mapping);
 }
 
+TEST(Broker, FullyHomogeneousParetoIsExactAndItsPresentationsHit) {
+  // A 6 x 12 fully homogeneous front comes from Algorithm 2 swept over k,
+  // exact, and a relabeled, rescaled presentation is the same canonical
+  // front.
+  const auto pipe = gen::random_uniform_pipeline(6, 26);
+  gen::PlatformGenOptions options;
+  options.processors = 12;
+  Broker broker;
+  SolveRequest request;
+  request.instance = InstanceData::from(pipe, gen::random_fully_homogeneous(options, 27));
+  request.objective = Objective::ParetoFront;
+
+  const auto cold = broker.solve(request);
+  ASSERT_TRUE(cold.has_value()) << cold.error().to_string();
+  EXPECT_FALSE(cold->cache_hit);
+  EXPECT_TRUE(cold->exact);
+  EXPECT_EQ(cold->algorithm, "algorithm-2 pareto (fully homogeneous)");
+  EXPECT_EQ(cold->front.size(), 12U);  // one point per replica count k
+
+  SolveRequest dup = request;
+  dup.instance = shuffled(request.instance, 28).scaled(4.0, 0.25, 1.0);
+  const auto warm = broker.solve(dup);
+  ASSERT_TRUE(warm.has_value()) << warm.error().to_string();
+  EXPECT_TRUE(warm->cache_hit);
+  EXPECT_TRUE(warm->exact);
+  EXPECT_EQ(warm->algorithm, cold->algorithm);
+  EXPECT_EQ(warm->canonical_hash, cold->canonical_hash);
+  EXPECT_EQ(front_checksum(warm->front), front_checksum(cold->front));
+}
+
 TEST(Broker, WarmReplyIsBitIdenticalToCold) {
   for (const Objective objective :
        {Objective::MinFpForLatency, Objective::MinLatencyForFp, Objective::ParetoFront}) {

@@ -612,6 +612,31 @@ TEST_F(Journals, VersionAndStampMismatchesReject) {
   std::remove(path.c_str());
 }
 
+TEST_F(Journals, PreviousSolverGenerationIsRefused) {
+  // A journal of the v1 result stream may hold heuristic (exact=0) fronts
+  // for the polynomial classes that v2 solves exactly: recovery refuses it
+  // rather than replaying them.
+  std::string bytes = journal_bytes_for({92}, "v1_src");
+  std::string v1_stamp;
+  util::bytes::append_u64_le(v1_stamp, util::fnv1a("relap-solver-fronts-v1"));
+  bytes.replace(12, 8, v1_stamp);  // the build-stamp hash follows the version
+  const auto decoded = decode_journal(bytes);
+  ASSERT_FALSE(decoded.has_value());
+  EXPECT_EQ(decoded.error().code, "journal-version");
+  EXPECT_NE(decoded.error().message.find("stamp mismatch"), std::string::npos)
+      << decoded.error().to_string();
+
+  const std::string path = temp_path("v1");
+  write_file(path, bytes);
+  Broker broker;
+  const auto recovered = broker.recover("", path);
+  ASSERT_FALSE(recovered.has_value());
+  EXPECT_EQ(recovered.error().code, "journal-version");
+  EXPECT_FALSE(broker.journal_enabled());
+  EXPECT_EQ(broker.cache_stats().entries, 0U);
+  std::remove(path.c_str());
+}
+
 TEST_F(Journals, MidFileDamageIsCorruptionNotATornTail) {
   const std::string bytes = journal_bytes_for({95, 96}, "corrupt_src");
   const std::vector<std::size_t> ends = record_boundaries(bytes);

@@ -302,6 +302,59 @@ TEST(Server, ServeStreamRunsAScript) {
   EXPECT_TRUE(serve_stream(broker, in2, out2));
 }
 
+TEST(Server, ServeStreamRefusesALinePastTheWireCap) {
+  // The TCP front's cap: the longest legitimate line is a `proc` row of
+  // max_processor_records links (131264 bytes by default).
+  Broker broker;
+  constexpr std::size_t kCap = 131264;
+  const std::string refusal = "err 0 oversized line exceeds 131264 bytes\n";
+
+  std::istringstream past_cap("ping\n" + std::string(kCap + 1, 'x'));
+  std::ostringstream out;
+  EXPECT_FALSE(serve_stream(broker, past_cap, out));
+  EXPECT_EQ(out.str(), "ok pong\n" + refusal);
+
+  // Nothing after the refused line is served.
+  std::istringstream then_more(std::string(kCap + 1, 'x') + "\nping\n");
+  std::ostringstream out2;
+  EXPECT_FALSE(serve_stream(broker, then_more, out2));
+  EXPECT_EQ(out2.str(), refusal);
+
+  // A line of exactly the cap is still a line (here an unknown command).
+  std::istringstream at_cap(std::string(kCap, 'x') + "\nping\n");
+  std::ostringstream out3;
+  EXPECT_FALSE(serve_stream(broker, at_cap, out3));
+  const std::string served = out3.str();
+  EXPECT_TRUE(is_err(served, "protocol")) << served.substr(0, 128);
+  EXPECT_NE(served.find("\nok pong\n"), std::string::npos) << served.substr(0, 128);
+}
+
+TEST(Server, ErrorMessagesQuoteAtMostAFixedPrefixOfTheToken) {
+  Broker broker;
+  Session session(broker);
+  const std::string huge(std::size_t{1} << 20, 'z');
+  const std::string expected_quote = "'" + std::string(64, 'z') + "...'";
+  upload(session, "x", 5);
+  for (const std::string& line : {huge, "solve " + huge, "drop " + huge, "solve x " + huge + "=1",
+                                  "solve x obj=" + huge, "solve x budget=" + huge}) {
+    const std::string response = feed(session, line);
+    EXPECT_TRUE(is_err(response, "protocol")) << response.substr(0, 128);
+    EXPECT_LT(response.size(), 256U) << response.substr(0, 128);
+    EXPECT_NE(response.find(expected_quote), std::string::npos) << response;
+  }
+  EXPECT_EQ(feed(session, "instance y"), "");
+  for (const std::string& line : {"proc " + huge + " 0.1 1 1", "proc 1 0.1 1 1 " + huge, huge}) {
+    const std::string response = feed(session, line);
+    EXPECT_TRUE(is_err(response, "protocol")) << response.substr(0, 128);
+    EXPECT_LT(response.size(), 256U) << response.substr(0, 128);
+    EXPECT_NE(response.find(expected_quote), std::string::npos) << response;
+  }
+  // A short token is quoted whole.
+  EXPECT_NE(feed(session, "end").find("ok instance y"), std::string::npos);
+  EXPECT_NE(feed(session, "frobnicate").find("unknown command 'frobnicate'\n"),
+            std::string::npos);
+}
+
 /// Minimal blocking loopback client for the TCP test.
 class Client {
  public:

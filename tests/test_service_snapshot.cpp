@@ -20,6 +20,7 @@
 #include "relap/gen/platforms.hpp"
 #include "relap/service/broker.hpp"
 #include "relap/util/bytes.hpp"
+#include "relap/util/hash.hpp"
 
 namespace relap::service {
 namespace {
@@ -244,6 +245,25 @@ TEST_F(SnapshotRejection, WrongBuildStamp) {
   std::string bytes = bytes_;
   bytes[12] ^= 0x01;  // u64 build-stamp hash follows the version
   expect_rejected(bytes, "snapshot-version");
+}
+
+TEST_F(SnapshotRejection, PreviousSolverGenerationIsRefused) {
+  // Snapshots of the v1 result stream hold heuristic (exact=0) fronts for
+  // the polynomial classes that v2 solves exactly: a warm start must
+  // re-solve them, not serve them.
+  EXPECT_EQ(snapshot_build_stamp(), "relap-solver-fronts-v2");
+  std::string v1_stamp;
+  util::bytes::append_u64_le(v1_stamp, util::fnv1a("relap-solver-fronts-v1"));
+  std::string bytes = bytes_;
+  bytes.replace(12, 8, v1_stamp);  // u64 build-stamp hash follows the version
+  write_file(path_, bytes);
+  Broker broker;
+  const auto loaded = broker.load_snapshot(path_);
+  ASSERT_FALSE(loaded.has_value());
+  EXPECT_EQ(loaded.error().code, "snapshot-version");
+  EXPECT_NE(loaded.error().message.find("stamp mismatch"), std::string::npos)
+      << loaded.error().to_string();
+  EXPECT_EQ(broker.cache_stats().entries, 0U);
 }
 
 TEST_F(SnapshotRejection, EveryTruncationRejected) {
