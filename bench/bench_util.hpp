@@ -82,7 +82,7 @@ inline std::string compiler_version() {
 /// arrays. Doubles print with %.17g so the artifact round-trips exactly.
 ///
 /// Every artifact opens with a `meta_*` provenance block — compiler, build
-/// type and flags, SIMD ISA, default lane width, hardware concurrency — so
+/// type and flags, SIMD ISA, lane width, hardware concurrency — so
 /// `bench/compare_bench.py` can tell when two artifacts came from different
 /// configurations instead of silently comparing their throughputs.
 class JsonReport {
@@ -93,8 +93,7 @@ class JsonReport {
     field("meta_build_type", std::string(RELAP_BENCH_BUILD_TYPE));
     field("meta_flags", std::string(RELAP_BENCH_FLAGS));
     field("meta_isa", std::string(relap::util::simd::isa_name()));
-    field("meta_lane_width",
-          static_cast<std::uint64_t>(relap::util::simd::kDefaultLaneWidth));
+    field("meta_lanes", static_cast<std::uint64_t>(relap::util::simd::kLaneWidth));
     field("meta_hardware_concurrency",
           static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
   }

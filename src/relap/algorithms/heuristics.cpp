@@ -14,7 +14,6 @@
 #include "relap/exec/parallel.hpp"
 #include "relap/mapping/mapping_lanes.hpp"
 #include "relap/mapping/mapping_view.hpp"
-#include "relap/util/assert.hpp"
 #include "relap/util/simd.hpp"
 #include "relap/util/strings.hpp"
 
@@ -310,11 +309,10 @@ double pending_term(const pipeline::Pipeline& pipeline, const platform::Platform
   return worst;
 }
 
-/// Evaluates the beam's surviving final mappings through the W-lane batch
+/// Evaluates the beam's surviving final mappings through the lane batch
 /// kernel (ragged `push_intervals` staging), each chunk writing its own
 /// solution slots. Lanes are consumed in push (= state index) order, so the
-/// sink sees the same sequence at any thread count and any lane width.
-template <std::size_t W>
+/// sink sees the same sequence at any thread count.
 void evaluate_beam_finals(const pipeline::Pipeline& pipeline, const platform::Platform& platform,
                           std::vector<std::vector<mapping::IntervalAssignment>>& finals,
                           std::vector<std::optional<Solution>>& solutions,
@@ -325,8 +323,8 @@ void evaluate_beam_finals(const pipeline::Pipeline& pipeline, const platform::Pl
   exec::parallel_for_chunks(
       finals.size(), kStatesPerChunk,
       [&](std::size_t begin, std::size_t end, std::size_t) {
-        mapping::LaneEvalBatch<W> batch(n, m);
-        std::array<mapping::ViewEval, W> evals;
+        mapping::LaneEvalBatch<util::simd::kLaneWidth> batch(n, m);
+        std::array<mapping::ViewEval, util::simd::kLaneWidth> evals;
         std::size_t base = begin;
         const auto flush = [&] {
           batch.evaluate(platform, evals);
@@ -458,14 +456,9 @@ void enumerate_beam_candidates(const pipeline::Pipeline& pipeline,
   // kernel (every state writes its own slot), and the sink consumes the
   // solutions serially in state-index order afterwards — the same
   // lowest-rank tie-breaking as the serial scan, so downstream first-wins
-  // incumbents are identical at any thread count and any lane width.
+  // incumbents are identical at any thread count.
   std::vector<std::optional<Solution>> solutions(finals.size());
-  switch (util::simd::effective_lane_width(options.lane_width)) {
-    case 1: evaluate_beam_finals<1>(pipeline, platform, finals, solutions, options.pool); break;
-    case 4: evaluate_beam_finals<4>(pipeline, platform, finals, solutions, options.pool); break;
-    case 8: evaluate_beam_finals<8>(pipeline, platform, finals, solutions, options.pool); break;
-    default: RELAP_UNREACHABLE("lane_width must be 0, 1, 4 or 8");
-  }
+  evaluate_beam_finals(pipeline, platform, finals, solutions, options.pool);
   for (std::optional<Solution>& s : solutions) sink(*std::move(s));
 }
 
@@ -517,7 +510,7 @@ Result best_min_fp_for_latency(const pipeline::Pipeline& pipeline,
       [](const Solution& s, double cap) { return within_cap(s.latency, cap); }, "latency");
   if (!best) return best;
   return local_search_min_fp(pipeline, platform, std::move(best).take(), max_latency,
-                             LocalSearchOptions{}, local_search_rounds);
+                             local_search_rounds);
 }
 
 Result heuristic_min_fp_for_latency(const pipeline::Pipeline& pipeline,

@@ -67,9 +67,6 @@ struct HeuristicOptions {
   /// serially in state-index order, so candidates, ties and results are
   /// identical at any thread count.
   exec::ThreadPool* pool = nullptr;
-  /// SIMD lane width of the beam's batched final evaluation: 1, 4 or 8, or
-  /// 0 for the build default. Results are bit-identical at any width.
-  std::size_t lane_width = 0;
   /// Optional cooperative cancellation (util/cancel.hpp): polled between
   /// generators and per beam level. A tripped token makes the constrained
   /// entry points return a "cancelled" error and leaves a collection

@@ -12,6 +12,9 @@ namespace {
 
 using Assignments = std::vector<mapping::IntervalAssignment>;
 
+/// Descent rounds before the search stops even if it is still improving.
+constexpr std::size_t kMaxRounds = 200;
+
 /// Emits every neighbor of `current` to `visit`. Neighbors are structurally
 /// valid interval mappings (the IntervalMapping constructor re-checks).
 void for_each_neighbor(const platform::Platform& platform, const Assignments& current,
@@ -101,10 +104,10 @@ void for_each_neighbor(const platform::Platform& platform, const Assignments& cu
 /// Steepest descent from `best` (improved in place); returns the number of
 /// improving rounds taken.
 std::size_t descend(const pipeline::Pipeline& pipeline, const platform::Platform& platform,
-                    Solution& best, double cap, const LocalSearchOptions& options,
+                    Solution& best, double cap,
                     bool (*better)(const Solution&, const Solution&, double)) {
   std::size_t round = 0;
-  for (; round < options.max_rounds; ++round) {
+  for (; round < kMaxRounds; ++round) {
     std::optional<Solution> improved;
     for_each_neighbor(platform, best.mapping.intervals(), [&](Assignments next) {
       Solution candidate = evaluate(pipeline, platform, mapping::IntervalMapping(std::move(next)));
@@ -121,20 +124,17 @@ std::size_t descend(const pipeline::Pipeline& pipeline, const platform::Platform
 
 Solution local_search_min_fp(const pipeline::Pipeline& pipeline,
                              const platform::Platform& platform, Solution start,
-                             double max_latency, const LocalSearchOptions& options,
-                             std::size_t* rounds) {
-  const std::size_t taken =
-      descend(pipeline, platform, start, max_latency, options, &better_min_fp);
+                             double max_latency, std::size_t* rounds) {
+  const std::size_t taken = descend(pipeline, platform, start, max_latency, &better_min_fp);
   if (rounds != nullptr) *rounds = taken;
   return start;
 }
 
 Solution local_search_min_latency(const pipeline::Pipeline& pipeline,
                                   const platform::Platform& platform, Solution start,
-                                  double max_failure_probability,
-                                  const LocalSearchOptions& options, std::size_t* rounds) {
-  const std::size_t taken = descend(pipeline, platform, start, max_failure_probability, options,
-                                    &better_min_latency);
+                                  double max_failure_probability, std::size_t* rounds) {
+  const std::size_t taken =
+      descend(pipeline, platform, start, max_failure_probability, &better_min_latency);
   if (rounds != nullptr) *rounds = taken;
   return start;
 }

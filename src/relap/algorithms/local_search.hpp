@@ -15,32 +15,25 @@
 ///
 /// The search takes the best improving neighbor per round (steepest
 /// descent) under the constrained comparator from types.hpp and stops at a
-/// local optimum or the iteration cap. Fully deterministic: the neighborhood
-/// is scanned in a fixed order.
+/// local optimum or at a fixed round cap (`kMaxRounds` in
+/// local_search.cpp; each round scans the whole neighborhood). Fully
+/// deterministic: the neighborhood is scanned in a fixed order.
 
 #include "relap/algorithms/types.hpp"
 
 namespace relap::algorithms {
-
-struct LocalSearchOptions {
-  /// Maximum descent rounds; each round scans the whole neighborhood.
-  std::size_t max_rounds = 200;
-};
 
 /// Minimizes FP subject to latency <= `max_latency`, starting from `start`.
 /// Never returns a solution worse than `start` under the constrained
 /// comparator. `rounds`, if given, receives the number of improving rounds.
 [[nodiscard]] Solution local_search_min_fp(const pipeline::Pipeline& pipeline,
                                            const platform::Platform& platform, Solution start,
-                                           double max_latency,
-                                           const LocalSearchOptions& options = {},
-                                           std::size_t* rounds = nullptr);
+                                           double max_latency, std::size_t* rounds = nullptr);
 
 /// Minimizes latency subject to FP <= `max_failure_probability`.
 [[nodiscard]] Solution local_search_min_latency(const pipeline::Pipeline& pipeline,
                                                 const platform::Platform& platform, Solution start,
                                                 double max_failure_probability,
-                                                const LocalSearchOptions& options = {},
                                                 std::size_t* rounds = nullptr);
 
 }  // namespace relap::algorithms

@@ -16,18 +16,18 @@ namespace relap::algorithms {
 
 namespace {
 
-void insert_solution(util::ParetoFront& front, std::vector<ParetoSolution>& pool, Solution s) {
-  if (front.insert({s.latency, s.failure_probability, pool.size()})) {
-    pool.push_back(ParetoSolution{s.latency, s.failure_probability, std::move(s.mapping)});
+void insert_solution(util::ParetoFront& front, std::vector<ParetoSolution>& kept, Solution s) {
+  if (front.insert({s.latency, s.failure_probability, kept.size()})) {
+    kept.push_back(ParetoSolution{s.latency, s.failure_probability, std::move(s.mapping)});
   }
 }
 
 std::vector<ParetoSolution> finalize(const util::ParetoFront& front,
-                                     std::vector<ParetoSolution>& pool) {
+                                     std::vector<ParetoSolution>& kept) {
   std::vector<ParetoSolution> out;
   out.reserve(front.size());
   for (const util::ParetoPoint& point : front.points()) {
-    out.push_back(std::move(pool[point.payload]));
+    out.push_back(std::move(kept[point.payload]));
   }
   return out;
 }
@@ -37,8 +37,10 @@ std::vector<ParetoSolution> finalize(const util::ParetoFront& front,
 std::vector<ParetoSolution> sweep_latency_thresholds(const pipeline::Pipeline& pipeline,
                                                      const platform::Platform& platform,
                                                      const MinFpSolver& solver,
-                                                     const ParetoDriverOptions& options) {
-  RELAP_ASSERT(options.thresholds >= 2, "need at least two sweep thresholds");
+                                                     std::size_t thresholds,
+                                                     exec::ThreadPool* pool,
+                                                     const util::CancelToken* cancel) {
+  RELAP_ASSERT(thresholds >= 2, "need at least two sweep thresholds");
   // Sweep bounds: the instance's latency floor, and the latency of the
   // maximally replicated mapping (Theorem 1's FP optimum) as a ceiling that
   // every mapping of interest stays under.
@@ -50,37 +52,34 @@ std::vector<ParetoSolution> sweep_latency_thresholds(const pipeline::Pipeline& p
   // candidates into the front serially in threshold order so the resulting
   // front does not depend on the thread count.
   const double ratio = hi / lo;
-  std::vector<std::optional<Result>> results(options.thresholds);
+  std::vector<std::optional<Result>> results(thresholds);
   exec::parallel_for(
-      options.thresholds, 1,
+      thresholds, 1,
       [&](std::size_t i) {
-        if (util::cancel_requested(options.cancel)) return;  // skip late thresholds
-        const double t = static_cast<double>(i) / static_cast<double>(options.thresholds - 1);
+        if (util::cancel_requested(cancel)) return;  // skip late thresholds
+        const double t = static_cast<double>(i) / static_cast<double>(thresholds - 1);
         const double threshold = lo * std::pow(ratio, t);
         results[i].emplace(solver(threshold));
       },
-      options.pool);
+      pool);
 
   util::ParetoFront front;
-  std::vector<ParetoSolution> pool;
-  insert_solution(front, pool, most_reliable);
+  std::vector<ParetoSolution> kept;
+  insert_solution(front, kept, most_reliable);
   for (std::optional<Result>& r : results) {
-    if (r.has_value() && r->has_value()) insert_solution(front, pool, std::move(*r).take());
+    if (r.has_value() && r->has_value()) insert_solution(front, kept, std::move(*r).take());
   }
-  return finalize(front, pool);
+  return finalize(front, kept);
 }
 
 std::vector<ParetoSolution> heuristic_pareto_front(const pipeline::Pipeline& pipeline,
                                                    const platform::Platform& platform,
-                                                   const ParetoDriverOptions& options,
+                                                   std::size_t thresholds,
                                                    const HeuristicOptions& heuristic,
                                                    HeuristicWork* work) {
-  HeuristicOptions generation = heuristic;
-  if (generation.pool == nullptr) generation.pool = options.pool;
-  if (generation.cancel == nullptr) generation.cancel = options.cancel;
   const std::vector<Solution> candidates =
-      collect_heuristic_candidates(pipeline, platform, generation);
-  if (util::cancel_requested(generation.cancel)) return {};
+      collect_heuristic_candidates(pipeline, platform, heuristic);
+  if (util::cancel_requested(heuristic.cancel)) return {};
 
   std::atomic<std::uint64_t> rounds{0};
   std::vector<ParetoSolution> front = sweep_latency_thresholds(
@@ -91,7 +90,7 @@ std::vector<ParetoSolution> heuristic_pareto_front(const pipeline::Pipeline& pip
         rounds.fetch_add(taken, std::memory_order_relaxed);
         return best;
       },
-      options);
+      thresholds, heuristic.pool, heuristic.cancel);
   if (work != nullptr) *work = HeuristicWork{candidates.size(), 1, rounds.load()};
   return front;
 }

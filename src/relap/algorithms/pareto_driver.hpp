@@ -28,28 +28,25 @@ namespace relap::algorithms {
 /// they share only the immutable pipeline/platform).
 using MinFpSolver = std::function<Result(double max_latency)>;
 
-struct ParetoDriverOptions {
-  /// Number of latency thresholds swept (log-spaced between bounds).
-  std::size_t thresholds = 24;
-  /// Pool for the parallel sweep; null uses `exec::ThreadPool::shared()`.
-  /// The front is assembled from the per-threshold results in index order,
-  /// so the outcome is identical at any thread count.
-  exec::ThreadPool* pool = nullptr;
-  /// Optional cooperative cancellation (util/cancel.hpp): polled per
-  /// threshold; remaining thresholds are skipped once it trips. Callers that
-  /// need an all-or-nothing answer must re-check the token after the sweep
-  /// (the broker does) — a partially swept front is otherwise returned.
-  const util::CancelToken* cancel = nullptr;
-};
-
-/// Sweeps latency thresholds and merges the solver's answers into a front.
-/// Infeasible thresholds are skipped.
+/// Sweeps `thresholds` latency thresholds (log-spaced between the bounds)
+/// and merges the solver's answers into a front. Infeasible thresholds are
+/// skipped.
+///
+/// Thresholds are solved concurrently on `pool` (null uses
+/// `exec::ThreadPool::shared()`) and the front is assembled from the
+/// per-threshold results in index order, so the outcome is identical at any
+/// thread count. `cancel` (util/cancel.hpp), if given, is polled per
+/// threshold; remaining thresholds are skipped once it trips. Callers that
+/// need an all-or-nothing answer must re-check the token after the sweep
+/// (the broker does) — a partially swept front is otherwise returned.
 [[nodiscard]] std::vector<ParetoSolution> sweep_latency_thresholds(
     const pipeline::Pipeline& pipeline, const platform::Platform& platform,
-    const MinFpSolver& solver, const ParetoDriverOptions& options = {});
+    const MinFpSolver& solver, std::size_t thresholds = 24, exec::ThreadPool* pool = nullptr,
+    const util::CancelToken* cancel = nullptr);
 
-/// The heuristic front: `heuristic_min_fp_for_latency` swept over the
-/// thresholds, plus the most reliable mapping as the front's high end.
+/// The heuristic front: `heuristic_min_fp_for_latency` swept over
+/// `thresholds` thresholds, plus the most reliable mapping as the front's
+/// high end.
 ///
 /// Generate-once contract: no candidate generator reads a threshold, so the
 /// candidate list is collected once per call (collect_heuristic_candidates,
@@ -57,14 +54,13 @@ struct ParetoDriverOptions {
 /// worker, which only scans it and polishes its pick with local search
 /// (best_min_fp_for_latency). The front equals the per-threshold
 /// `sweep_latency_thresholds(..., heuristic_min_fp_for_latency)` point for
-/// point, at a fraction of the cost. The generators use `options.pool` and
-/// `options.cancel` where `heuristic` leaves them null. A cancelled
-/// collection yields an empty front; as for the sweep, callers that need an
-/// all-or-nothing answer re-check the token. `work`, if given, receives the
-/// solve's work counters.
+/// point, at a fraction of the cost. The generators and the sweep share
+/// `heuristic.pool` and `heuristic.cancel`. A cancelled collection yields an
+/// empty front; as for the sweep, callers that need an all-or-nothing answer
+/// re-check the token. `work`, if given, receives the solve's work counters.
 [[nodiscard]] std::vector<ParetoSolution> heuristic_pareto_front(
     const pipeline::Pipeline& pipeline, const platform::Platform& platform,
-    const ParetoDriverOptions& options = {}, const HeuristicOptions& heuristic = {},
+    std::size_t thresholds = 24, const HeuristicOptions& heuristic = {},
     HeuristicWork* work = nullptr);
 
 /// Area-style front comparison: mean over `reference`'s points of the FP

@@ -140,15 +140,11 @@ util::Expected<FrontReport> solve_pareto_front(const pipeline::Pipeline& pipelin
                        outcome.value().evaluations, {}};
   };
   const auto heuristic = [&]() -> util::Expected<FrontReport> {
-    ParetoDriverOptions driver;
-    driver.thresholds = options.pareto_thresholds;
-    driver.pool = options.heuristic.pool;
-    driver.cancel = options.heuristic.cancel;
     // The sweep's per-threshold solver is the heuristic suite, so the front
     // inherits its determinism contract (bit-identical at any thread count).
     HeuristicWork work;
-    std::vector<ParetoSolution> front =
-        heuristic_pareto_front(pipeline, platform, driver, options.heuristic, &work);
+    std::vector<ParetoSolution> front = heuristic_pareto_front(
+        pipeline, platform, options.pareto_thresholds, options.heuristic, &work);
     // A cancelled sweep is partial: report the cancellation, not the front.
     if (util::cancel_requested(options.heuristic.cancel)) {
       return util::make_error("cancelled", "pareto sweep was cancelled before completing");

@@ -140,12 +140,9 @@ void latency_assignment_lanes(const pipeline::Pipeline& pipeline,
   for (std::size_t l = 0; l < W; ++l) out[l] = result.v[l];
 }
 
-template void latency_assignment_lanes<1>(const pipeline::Pipeline&, const platform::Platform&,
-                                          const std::uint64_t*, double*);
-template void latency_assignment_lanes<4>(const pipeline::Pipeline&, const platform::Platform&,
-                                          const std::uint64_t*, double*);
-template void latency_assignment_lanes<8>(const pipeline::Pipeline&, const platform::Platform&,
-                                          const std::uint64_t*, double*);
+template void latency_assignment_lanes<util::simd::kLaneWidth>(const pipeline::Pipeline&,
+                                                               const platform::Platform&,
+                                                               const std::uint64_t*, double*);
 
 double latency_lower_bound(const pipeline::Pipeline& pipeline,
                            const platform::Platform& platform) {

@@ -79,7 +79,7 @@ namespace relap::mapping {
 /// partial batch keeps stale-but-valid ids in the unused lanes and the
 /// caller ignores those outputs). Writes out[l] for l in [0, W), each
 /// bit-identical to the scalar span overload on that lane's assignment.
-/// Instantiated for W in {1, 4, 8}.
+/// Instantiated for W = `util::simd::kLaneWidth`.
 template <std::size_t W>
 void latency_assignment_lanes(const pipeline::Pipeline& pipeline,
                               const platform::Platform& platform, const std::uint64_t* ids,

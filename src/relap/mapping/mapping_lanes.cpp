@@ -352,8 +352,6 @@ void LaneEvalBatch<W>::evaluate(const platform::Platform& platform,
   }
 }
 
-template class LaneEvalBatch<1>;
-template class LaneEvalBatch<4>;
-template class LaneEvalBatch<8>;
+template class LaneEvalBatch<util::simd::kLaneWidth>;
 
 }  // namespace relap::mapping

@@ -4,8 +4,9 @@
 /// Lane-batched candidate evaluation: `evaluate_view`'s SIMD counterpart.
 ///
 /// `LaneEvalBatch<W>` evaluates up to `W` interval mappings at once, one per
-/// SIMD lane, on top of preallocated lane-major SoA staging buffers (group
-/// sums, replica ids, boundary-transfer terms). The scalar evaluators in
+/// SIMD lane (instantiated at `util::simd::kLaneWidth`), on top of
+/// preallocated lane-major SoA staging buffers (group sums, replica ids,
+/// boundary-transfer terms). The scalar evaluators in
 /// mapping_view.cpp remain the bit-exactness oracle: every lane applies the
 /// exact per-candidate operation sequence of the scalar kernel — the same
 /// `KahanSum` adds in the same order, compensated summation kept per lane

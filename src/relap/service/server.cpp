@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <exception>
 #include <istream>
@@ -58,12 +57,6 @@ std::string token_safe(std::string_view text) {
     if (c == ' ' || c == '\t') c = '_';
   }
   return out;
-}
-
-std::string format_ms(double seconds) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%.3f", seconds * 1e3);
-  return buffer;
 }
 
 /// Longest quoted token an error message echoes back.
@@ -405,7 +398,7 @@ void Session::handle_solve(std::string_view args, std::string& out) {
   out += " points=" + std::to_string(reply->front.size());
   out += " front=" + util::Fnv1a(front_checksum(reply->front)).hex();
   out += " canonical=" + util::Fnv1a(reply->canonical_hash).hex();
-  out += " solve_ms=" + format_ms(reply->solve_seconds);
+  out += " solve_ms=" + util::format_fixed(reply->solve_seconds * 1e3, 3);
   out += '\n';
   out += "trace ";
   out += reply->spans.to_json();

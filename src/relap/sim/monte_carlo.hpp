@@ -43,10 +43,6 @@ struct MonteCarloOptions {
   /// `util::counter_hash` at the absolute counter `trial * R + replica`, so
   /// the realization is independent of the chunk grid.
   exec::ThreadPool* pool = nullptr;
-  /// SIMD lane width of the Bernoulli trial kernel — W trials are drawn and
-  /// reduced per step: 1, 4 or 8, or 0 for the build default. Counter
-  /// addressing makes the estimate bit-identical at any width.
-  std::size_t lane_width = 0;
 };
 
 struct FailureRateEstimate {
@@ -66,6 +62,8 @@ struct FailureRateEstimate {
 };
 
 /// Direct Bernoulli estimate of the application failure probability.
+/// Draws `util::simd::kLaneWidth` trials per lane step; every lane
+/// reproduces the scalar `counter_hash(seed, t * R + i)` walk bit for bit.
 [[nodiscard]] FailureRateEstimate estimate_failure_rate(const platform::Platform& platform,
                                                         const mapping::IntervalMapping& mapping,
                                                         const MonteCarloOptions& options = {});

@@ -17,8 +17,8 @@
 /// with an `if constexpr` AVX2 (4-double blocks) or NEON (2-double blocks)
 /// fast path when the TU is compiled for that ISA. Defining
 /// `RELAP_SIMD_FORCE_SCALAR` (CMake option of the same name) compiles the
-/// portable fallback everywhere — CI builds both and the results must be
-/// bit-identical, which the lane-invariance tests pin.
+/// portable fallback everywhere — CI builds both, and the scalar-oracle
+/// tests pin every lane kernel to the scalar evaluators in each build.
 ///
 /// uint64 multiply and uint64->double conversion have no single AVX2
 /// instruction, but both are specialized anyway: the low-64 product
@@ -30,12 +30,12 @@
 /// round-trip per lane per step. Both forms are exact (no rounding anywhere),
 /// so they are bit-identical to the generic loops by construction.
 ///
-/// Adding a width: instantiate the kernels for the new `W` (see the explicit
-/// instantiation lists in mapping_lanes.cpp / latency.cpp) and add it to the
-/// drivers' dispatch switches. Adding an ISA: add an `if constexpr` block
-/// per op below, guarded by a detection macro — the op must keep IEEE
-/// semantics (no FMA, no reassociation) and the same NaN/tie behavior as
-/// the generic loop, or the scalar-oracle tests will catch it.
+/// Changing the width: change `kLaneWidth`; the kernels' explicit
+/// instantiations (mapping_lanes.cpp, latency.cpp) and the drivers all
+/// follow it. Adding an ISA: add an `if constexpr` block per op below,
+/// guarded by a detection macro — the op must keep IEEE semantics (no FMA,
+/// no reassociation) and the same NaN/tie behavior as the generic loop, or
+/// the scalar-oracle tests will catch it.
 
 #include <cstddef>
 #include <cstdint>
@@ -50,18 +50,13 @@
 
 namespace relap::util::simd {
 
-/// Default lane width of the batched kernels; drivers accept `lane_width`
-/// overrides of 1 / 4 / 8 and treat 0 as "use the default".
-inline constexpr std::size_t kDefaultLaneWidth = 8;
+/// Lane width of the batched kernels: every driver evaluates this many
+/// candidates or trials per lane batch.
+inline constexpr std::size_t kLaneWidth = 8;
 
 /// Name of the ISA the lane ops were compiled for ("avx2", "neon" or
 /// "scalar") — recorded in bench metadata.
 [[nodiscard]] const char* isa_name();
-
-/// Resolves a driver's `lane_width` option: 0 means the build default.
-[[nodiscard]] constexpr std::size_t effective_lane_width(std::size_t requested) {
-  return requested == 0 ? kDefaultLaneWidth : requested;
-}
 
 namespace detail {
 constexpr std::size_t alignment_for(std::size_t width) {

@@ -88,13 +88,4 @@ std::string format_double(double value) {
   return std::string(buffer, end);
 }
 
-std::string join(const std::vector<std::string>& tokens, std::string_view sep) {
-  std::string out;
-  for (std::size_t i = 0; i < tokens.size(); ++i) {
-    if (i > 0) out.append(sep);
-    out.append(tokens[i]);
-  }
-  return out;
-}
-
 }  // namespace relap::util

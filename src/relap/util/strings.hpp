@@ -1,7 +1,8 @@
 #pragma once
 
 /// \file strings.hpp
-/// Minimal string helpers shared by the instance parser and CSV writers.
+/// Minimal string helpers shared by the instance parser and the wire
+/// protocol: tokenizing, strict number parsing and number formatting.
 
 #include <optional>
 #include <string>
@@ -32,8 +33,5 @@ namespace relap::util {
 /// wire: %g notation at the fewest significant digits that parse back to
 /// `value`, and integers below 1e15 in magnitude without an exponent.
 [[nodiscard]] std::string format_double(double value);
-
-/// Joins tokens with a separator.
-[[nodiscard]] std::string join(const std::vector<std::string>& tokens, std::string_view sep);
 
 }  // namespace relap::util

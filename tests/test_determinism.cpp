@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,8 +20,12 @@
 #include "relap/gen/paper_instances.hpp"
 #include "relap/gen/pipelines.hpp"
 #include "relap/gen/platforms.hpp"
+#include "relap/mapping/latency.hpp"
+#include "relap/mapping/reliability.hpp"
 #include "relap/service/broker.hpp"
 #include "relap/sim/monte_carlo.hpp"
+#include "relap/util/enumeration.hpp"
+#include "relap/util/simd.hpp"
 
 namespace relap {
 namespace {
@@ -186,14 +192,15 @@ TEST(Determinism, HeuristicParetoFrontAcrossThreadCounts) {
   const auto plat = gen::random_comm_hom_het_failures(gen_options, 78);
 
   exec::ThreadPool serial(1);
-  algorithms::ParetoDriverOptions options;
+  algorithms::HeuristicOptions options;
   options.pool = &serial;
-  const auto reference = algorithms::heuristic_pareto_front(pipe, plat, options);
+  const auto reference = algorithms::heuristic_pareto_front(pipe, plat, 24, options);
 
   for (const std::size_t threads : kThreadCounts) {
     exec::ThreadPool pool(threads);
     options.pool = &pool;
-    expect_same_front(algorithms::heuristic_pareto_front(pipe, plat, options), reference, threads);
+    expect_same_front(algorithms::heuristic_pareto_front(pipe, plat, 24, options), reference,
+                      threads);
   }
 }
 
@@ -209,126 +216,145 @@ TEST(Determinism, HeuristicFrontEqualsPerThresholdSweepAcrossThreadCounts) {
                                 : gen::random_comm_hom_het_failures(gen_options, 172);
     for (const std::size_t threads : kThreadCounts) {
       exec::ThreadPool pool(threads);
-      algorithms::ParetoDriverOptions options;
+      algorithms::HeuristicOptions options;
       options.pool = &pool;
-      options.thresholds = 12;
       const auto per_threshold = algorithms::sweep_latency_thresholds(
           pipe, plat,
           [&](double max_latency) {
             return algorithms::heuristic_min_fp_for_latency(pipe, plat, max_latency);
           },
-          options);
+          12, &pool);
       ASSERT_FALSE(per_threshold.empty());
-      expect_same_front(algorithms::heuristic_pareto_front(pipe, plat, options), per_threshold,
-                        threads);
+      expect_same_front(algorithms::heuristic_pareto_front(pipe, plat, 12, options),
+                        per_threshold, threads);
     }
   }
 }
 
-// --- SIMD lane-width invariance: the lane kernels at W = 4 / 8 must be
-// bit-identical to the W = 1 scalar walk, the same contract thread-count
-// determinism pins for the exec subsystem. -------------------------------
+// --- Lane kernels against the scalar oracle: every solver that evaluates
+// candidates in SIMD lane batches must report exactly what the scalar
+// evaluators (mapping/latency.hpp, mapping/reliability.hpp) give for the
+// mapping it returns. The forced-scalar and AVX2 builds run these too, so
+// they pin each ISA's lane ops. ----------------------------------------------
 
-constexpr std::size_t kLaneWidths[] = {1, 4, 8};
+void expect_scalar_objectives(const pipeline::Pipeline& pipe, const platform::Platform& plat,
+                              double latency, double failure_probability,
+                              const mapping::IntervalMapping& m, std::size_t i) {
+  EXPECT_EQ(latency, mapping::latency(pipe, plat, m)) << "point " << i;
+  EXPECT_EQ(failure_probability, mapping::failure_probability(plat, m)) << "point " << i;
+}
 
-TEST(Determinism, ExhaustiveParetoAcrossLaneWidths) {
-  const auto pipe = gen::random_uniform_pipeline(3, 131);
+TEST(ScalarOracle, ExhaustiveParetoPointsMatchScalarEvaluators) {
   gen::PlatformGenOptions gen_options;
   gen_options.processors = 6;
-  const auto plat = gen::random_fully_heterogeneous(gen_options, 132);
+  const auto het_pipe = gen::random_uniform_pipeline(3, 131);
+  const auto het = gen::random_fully_heterogeneous(gen_options, 132);
+  gen_options.processors = 5;
+  const auto hom_pipe = gen::random_uniform_pipeline(4, 133);
+  const auto hom = gen::random_comm_hom_het_failures(gen_options, 134);
+  ASSERT_FALSE(het.has_homogeneous_links());  // eq-(2) lane kernel
+  ASSERT_TRUE(hom.has_homogeneous_links());   // eq-(1) lane kernel
 
-  algorithms::ExhaustiveOptions options;
-  options.lane_width = 1;
-  const auto reference = algorithms::exhaustive_pareto(pipe, plat, options);
-  ASSERT_TRUE(reference.has_value());
-
-  for (const std::size_t width : kLaneWidths) {
-    options.lane_width = width;
-    const auto outcome = algorithms::exhaustive_pareto(pipe, plat, options);
-    ASSERT_TRUE(outcome.has_value()) << "lane_width=" << width;
-    EXPECT_EQ(outcome->evaluations, reference->evaluations) << "lane_width=" << width;
-    expect_same_front(outcome->front, reference->front, width);
+  for (const auto& [pipe, plat] : {std::pair{&het_pipe, &het}, std::pair{&hom_pipe, &hom}}) {
+    const auto outcome = algorithms::exhaustive_pareto(*pipe, *plat);
+    ASSERT_TRUE(outcome.has_value());
+    EXPECT_EQ(outcome->evaluations,
+              algorithms::interval_mapping_count(pipe->stage_count(), plat->processor_count()));
+    ASSERT_GT(outcome->front.size(), 1u);
+    for (std::size_t i = 0; i < outcome->front.size(); ++i) {
+      const algorithms::ParetoSolution& point = outcome->front[i];
+      expect_scalar_objectives(*pipe, *plat, point.latency, point.failure_probability,
+                               point.mapping, i);
+    }
   }
 }
 
-TEST(Determinism, GeneralEnumerationAcrossLaneWidths) {
+/// The unreplicated enumerators' scalar oracle: walks `count` ranks in
+/// order from `word` (rank 0; `advance` steps it to the next rank) with the
+/// scalar span latency and keeps the first strict improvement, so ties go
+/// to the lowest rank.
+template <typename Advance>
+algorithms::GeneralSolution scalar_rank_scan(const pipeline::Pipeline& pipe,
+                                             const platform::Platform& plat,
+                                             std::vector<platform::ProcessorId> word,
+                                             std::uint64_t count, const Advance& advance) {
+  std::vector<platform::ProcessorId> best_word;
+  double best = std::numeric_limits<double>::infinity();
+  for (std::uint64_t rank = 0; rank < count; ++rank) {
+    if (rank > 0) advance(word);
+    const double latency = mapping::latency(pipe, plat, std::span<const platform::ProcessorId>(word));
+    if (latency < best) {
+      best = latency;
+      best_word = word;
+    }
+  }
+  return algorithms::GeneralSolution{mapping::GeneralMapping(std::move(best_word)), best};
+}
+
+void expect_scalar_rank_scan(const pipeline::Pipeline& pipe, const platform::Platform& plat,
+                             const algorithms::GeneralResult& outcome,
+                             const algorithms::GeneralSolution& oracle) {
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_EQ(outcome->latency, mapping::latency(pipe, plat, outcome->mapping));
+  EXPECT_EQ(outcome->latency, oracle.latency);
+  EXPECT_EQ(outcome->mapping, oracle.mapping);
+}
+
+TEST(ScalarOracle, GeneralEnumerationEqualsScalarRankScan) {
+  // 5^5 = 3125 assignments: several 1024-rank chunks and a partial final
+  // lane batch. On the fully homogeneous platform many assignments tie
+  // exactly, which pins the lowest-rank tie-breaking.
   const auto pipe = gen::random_uniform_pipeline(5, 141);
   gen::PlatformGenOptions gen_options;
   gen_options.processors = 5;
-  const auto plat = gen::random_fully_heterogeneous(gen_options, 142);
-
-  const auto reference =
-      algorithms::exhaustive_general_min_latency(pipe, plat, 20'000'000, nullptr, 1);
-  ASSERT_TRUE(reference.has_value());
-
-  for (const std::size_t width : kLaneWidths) {
-    const auto outcome =
-        algorithms::exhaustive_general_min_latency(pipe, plat, 20'000'000, nullptr, width);
-    ASSERT_TRUE(outcome.has_value()) << "lane_width=" << width;
-    EXPECT_EQ(outcome->mapping, reference->mapping) << "lane_width=" << width;
-    EXPECT_EQ(outcome->latency, reference->latency) << "lane_width=" << width;
+  for (const bool fully_het : {true, false}) {
+    SCOPED_TRACE(fully_het ? "fully heterogeneous" : "fully homogeneous");
+    const auto plat = fully_het ? gen::random_fully_heterogeneous(gen_options, 142)
+                                : gen::random_fully_homogeneous(gen_options, 142);
+    const util::AssignmentIndexer indexer(pipe.stage_count(), plat.processor_count());
+    std::vector<platform::ProcessorId> word(pipe.stage_count());
+    indexer.unrank(0, word);
+    const algorithms::GeneralSolution oracle = scalar_rank_scan(
+        pipe, plat, word, indexer.count(), [&](auto& w) { indexer.next(w); });
+    expect_scalar_rank_scan(pipe, plat, algorithms::exhaustive_general_min_latency(pipe, plat),
+                            oracle);
   }
 }
 
-TEST(Determinism, OneToOneEnumerationAcrossLaneWidths) {
-  const auto pipe = gen::random_uniform_pipeline(4, 151);
-  gen::PlatformGenOptions gen_options;
-  gen_options.processors = 8;
-  const auto plat = gen::random_fully_heterogeneous(gen_options, 152);
-
-  const auto reference =
-      algorithms::exhaustive_one_to_one_min_latency(pipe, plat, 20'000'000, nullptr, 1);
-  ASSERT_TRUE(reference.has_value());
-
-  for (const std::size_t width : kLaneWidths) {
-    const auto outcome =
-        algorithms::exhaustive_one_to_one_min_latency(pipe, plat, 20'000'000, nullptr, width);
-    ASSERT_TRUE(outcome.has_value()) << "lane_width=" << width;
-    EXPECT_EQ(outcome->mapping, reference->mapping) << "lane_width=" << width;
-    EXPECT_EQ(outcome->latency, reference->latency) << "lane_width=" << width;
+TEST(ScalarOracle, OneToOneEnumerationEqualsScalarRankScan) {
+  // 4 stages on 8 processors (1680 injections, two chunks) and 3 on 7
+  // (210, a partial final lane batch).
+  for (const auto& [stages, processors] : {std::pair{4, 8}, std::pair{3, 7}}) {
+    SCOPED_TRACE(std::to_string(stages) + "x" + std::to_string(processors));
+    const auto pipe = gen::random_uniform_pipeline(stages, 151);
+    gen::PlatformGenOptions gen_options;
+    gen_options.processors = processors;
+    const auto plat = gen::random_fully_heterogeneous(gen_options, 152);
+    const util::InjectionIndexer indexer(pipe.stage_count(), plat.processor_count());
+    std::vector<platform::ProcessorId> word(pipe.stage_count());
+    std::vector<bool> used;
+    indexer.unrank(0, word, used);
+    const algorithms::GeneralSolution oracle = scalar_rank_scan(
+        pipe, plat, word, indexer.count(), [&](auto& w) { indexer.next(w, used); });
+    expect_scalar_rank_scan(pipe, plat,
+                            algorithms::exhaustive_one_to_one_min_latency(pipe, plat), oracle);
   }
 }
 
-TEST(Determinism, FailureRateEstimateAcrossLaneWidths) {
-  const auto plat = gen::fig5_platform();
-  const auto mapping = gen::fig5_two_interval_mapping();
-
-  sim::MonteCarloOptions options;
-  options.trials = 50'000;
-  options.lane_width = 1;
-  const sim::FailureRateEstimate reference = sim::estimate_failure_rate(plat, mapping, options);
-
-  for (const std::size_t width : kLaneWidths) {
-    options.lane_width = width;
-    expect_same_estimate(sim::estimate_failure_rate(plat, mapping, options), reference, width);
-  }
-}
-
-TEST(Determinism, BeamCandidatesAcrossLaneWidths) {
+TEST(ScalarOracle, BeamCandidatesMatchScalarEvaluators) {
   const auto pipe = gen::random_uniform_pipeline(6, 161);
   gen::PlatformGenOptions gen_options;
   gen_options.processors = 8;
-  const auto plat = gen::random_comm_hom_het_failures(gen_options, 162);
-
-  const auto collect = [&](std::size_t width) {
-    algorithms::HeuristicOptions options;
-    options.lane_width = width;
+  for (const bool fully_het : {false, true}) {
+    const auto plat = fully_het ? gen::random_fully_heterogeneous(gen_options, 162)
+                                : gen::random_comm_hom_het_failures(gen_options, 162);
     std::vector<algorithms::Solution> out;
-    algorithms::enumerate_beam_candidates(pipe, plat, options,
+    algorithms::enumerate_beam_candidates(pipe, plat, {},
                                           [&](algorithms::Solution s) { out.push_back(std::move(s)); });
-    return out;
-  };
-
-  const std::vector<algorithms::Solution> reference = collect(1);
-  ASSERT_FALSE(reference.empty());
-  for (const std::size_t width : kLaneWidths) {
-    const std::vector<algorithms::Solution> out = collect(width);
-    ASSERT_EQ(out.size(), reference.size()) << "lane_width=" << width;
+    ASSERT_GT(out.size(), util::simd::kLaneWidth);
     for (std::size_t i = 0; i < out.size(); ++i) {
-      EXPECT_EQ(out[i].latency, reference[i].latency) << "lane_width=" << width << " i=" << i;
-      EXPECT_EQ(out[i].failure_probability, reference[i].failure_probability)
-          << "lane_width=" << width << " i=" << i;
-      EXPECT_EQ(out[i].mapping, reference[i].mapping) << "lane_width=" << width << " i=" << i;
+      expect_scalar_objectives(pipe, plat, out[i].latency, out[i].failure_probability,
+                               out[i].mapping, i);
     }
   }
 }

@@ -70,16 +70,6 @@ TEST(LocalSearch, ImprovesLatencyOnFig4) {
   EXPECT_DOUBLE_EQ(polished.latency, 7.0);  // reaches the split optimum
 }
 
-TEST(LocalSearch, RespectsRoundBudget) {
-  const auto pipe = gen::fig3_pipeline();
-  const auto plat = gen::fig4_platform();
-  const Solution start = start_from(pipe, plat, gen::fig4_single_mapping());
-  LocalSearchOptions options;
-  options.max_rounds = 0;
-  const Solution frozen = local_search_min_latency(pipe, plat, start, 0.9, options);
-  EXPECT_DOUBLE_EQ(frozen.latency, start.latency);
-}
-
 TEST(LocalSearch, ReachesExhaustiveOptimumOnTinyInstances) {
   // On 2-stage/3-processor instances the neighborhood graph is small enough
   // that steepest descent from the best single-interval start lands on the

@@ -26,6 +26,7 @@
 #include "relap/mapping/throughput.hpp"
 #include "relap/util/enumeration.hpp"
 #include "relap/util/rng.hpp"
+#include "relap/util/simd.hpp"
 
 namespace {
 
@@ -153,15 +154,20 @@ TEST(MappingView, MatchesScalarEvaluatorsOnFullyHomogeneousPlatforms) {
   cross_check_random_mappings(pipe, plat, 323, 200);
 }
 
-/// Draws random mappings and streams them through a `LaneEvalBatch<W>` in
-/// enumeration form (set_composition before every push, so compositions
-/// change mid-batch), flushing full and final partial batches; every lane's
+/// Draws random mappings and streams them through a `kLaneWidth`-lane
+/// `LaneEvalBatch` in enumeration form (set_composition before every push,
+/// so compositions change mid-batch) or interval form (ragged per-lane
+/// compositions), flushing full and final partial batches; every lane's
 /// result must match the scalar `evaluate_view` oracle bit for bit, and the
 /// lane views must materialize/period exactly like the scalar path.
-template <std::size_t W>
+/// Iteration counts must not be multiples of the width (checked), so the
+/// final batch is always partial.
+constexpr std::size_t W = util::simd::kLaneWidth;
+
 void lane_cross_check_random_mappings(const pipeline::Pipeline& pipe,
                                       const platform::Platform& plat, std::uint64_t seed,
                                       int iterations, bool interval_mode) {
+  ASSERT_NE(static_cast<std::size_t>(iterations) % W, 0u) << "final batch must be partial";
   const std::size_t n = pipe.stage_count();
   const std::size_t m = plat.processor_count();
   util::Rng rng(seed);
@@ -179,13 +185,12 @@ void lane_cross_check_random_mappings(const pipeline::Pipeline& pipe,
       scratch.set_intervals(pipe, staged[l].intervals());
       const mapping::ViewEval oracle =
           mapping::evaluate_view(plat, scratch.view(), scratch.cache());
-      EXPECT_EQ(evals[l].latency, oracle.latency) << "W=" << W << " lane " << l;
-      EXPECT_EQ(evals[l].failure_probability, oracle.failure_probability)
-          << "W=" << W << " lane " << l;
-      EXPECT_EQ(mapping::materialize(batch.view(l)), staged[l]) << "W=" << W << " lane " << l;
+      EXPECT_EQ(evals[l].latency, oracle.latency) << "lane " << l;
+      EXPECT_EQ(evals[l].failure_probability, oracle.failure_probability) << "lane " << l;
+      EXPECT_EQ(mapping::materialize(batch.view(l)), staged[l]) << "lane " << l;
       EXPECT_EQ(mapping::period_view(plat, batch.view(l), batch.cache(l)),
                 mapping::period(pipe, plat, staged[l]))
-          << "W=" << W << " lane " << l;
+          << "lane " << l;
     }
     batch.clear();
     staged.clear();
@@ -212,7 +217,7 @@ void lane_cross_check_random_mappings(const pipeline::Pipeline& pipe,
     }
     if (batch.full()) flush();
   }
-  if (!batch.empty()) flush();  // also exercises partial batches when W > 1
+  if (!batch.empty()) flush();
 }
 
 TEST(MappingLanes, MatchesScalarOracleOnCommHomogeneousPlatforms) {
@@ -221,9 +226,7 @@ TEST(MappingLanes, MatchesScalarOracleOnCommHomogeneousPlatforms) {
   options.processors = 7;
   const auto plat = gen::random_comm_hom_het_failures(options, 402);
   ASSERT_TRUE(plat.has_homogeneous_links());  // exercises the eq-(1) lane kernel
-  lane_cross_check_random_mappings<1>(pipe, plat, 403, 150, false);
-  lane_cross_check_random_mappings<4>(pipe, plat, 404, 150, false);
-  lane_cross_check_random_mappings<8>(pipe, plat, 405, 150, false);
+  lane_cross_check_random_mappings(pipe, plat, 405, 150, false);
 }
 
 TEST(MappingLanes, MatchesScalarOracleOnFullyHeterogeneousPlatforms) {
@@ -232,9 +235,7 @@ TEST(MappingLanes, MatchesScalarOracleOnFullyHeterogeneousPlatforms) {
   options.processors = 6;
   const auto plat = gen::random_fully_heterogeneous(options, 412);
   ASSERT_FALSE(plat.has_homogeneous_links());  // exercises the eq-(2) lane kernel
-  lane_cross_check_random_mappings<1>(pipe, plat, 413, 150, false);
-  lane_cross_check_random_mappings<4>(pipe, plat, 414, 150, false);
-  lane_cross_check_random_mappings<8>(pipe, plat, 415, 150, false);
+  lane_cross_check_random_mappings(pipe, plat, 415, 150, false);
 }
 
 TEST(MappingLanes, MatchesScalarOracleOnFullyHomogeneousPlatforms) {
@@ -242,9 +243,7 @@ TEST(MappingLanes, MatchesScalarOracleOnFullyHomogeneousPlatforms) {
   gen::PlatformGenOptions options;
   options.processors = 5;
   const auto plat = gen::random_fully_homogeneous(options, 422);
-  lane_cross_check_random_mappings<1>(pipe, plat, 423, 100, false);
-  lane_cross_check_random_mappings<4>(pipe, plat, 424, 100, false);
-  lane_cross_check_random_mappings<8>(pipe, plat, 425, 100, false);
+  lane_cross_check_random_mappings(pipe, plat, 425, 100, false);
 }
 
 TEST(MappingLanes, IntervalPushMatchesScalarOracle) {
@@ -255,9 +254,8 @@ TEST(MappingLanes, IntervalPushMatchesScalarOracle) {
   options.processors = 7;
   const auto het = gen::random_fully_heterogeneous(options, 432);
   const auto hom = gen::random_comm_hom_het_failures(options, 433);
-  lane_cross_check_random_mappings<4>(pipe, het, 434, 150, true);
-  lane_cross_check_random_mappings<8>(pipe, het, 435, 150, true);
-  lane_cross_check_random_mappings<8>(pipe, hom, 436, 150, true);
+  lane_cross_check_random_mappings(pipe, het, 435, 150, true);
+  lane_cross_check_random_mappings(pipe, hom, 436, 150, true);
 }
 
 TEST(MappingView, ViewAccessorsDescribeTheMapping) {
@@ -343,7 +341,6 @@ TEST(MappingViewAllocation, LaneBatchSteadyStateIsAllocationFree) {
   std::vector<std::size_t> lengths;
   std::vector<std::size_t> group_of(m);
   std::vector<std::size_t> group_sizes(p);
-  constexpr std::size_t W = 8;
   mapping::LaneEvalBatch<W> batch(n, m);
   std::array<mapping::ViewEval, W> evals;
 

@@ -16,6 +16,7 @@
 
 #include <cstring>
 #include <fstream>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -128,6 +129,12 @@ TEST(Server, ScriptedSessionEndToEnd) {
     return response.substr(pos, response.find(' ', pos) - pos);
   };
   EXPECT_EQ(front_of(cold), front_of(warm));
+
+  // The solve time closes the header line in fixed notation, milliseconds
+  // to three decimals.
+  const std::regex solve_ms(" solve_ms=[0-9]+\\.[0-9]{3}\n");
+  EXPECT_TRUE(std::regex_search(cold, solve_ms)) << cold;
+  EXPECT_TRUE(std::regex_search(warm, solve_ms)) << warm;
 
   const std::string stats = feed(session, "stats");
   EXPECT_EQ(stats.rfind("ok stats {\"cache\":", 0), 0U) << stats;

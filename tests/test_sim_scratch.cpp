@@ -28,6 +28,7 @@
 #include "relap/platform/builders.hpp"
 #include "relap/sim/monte_carlo.hpp"
 #include "relap/util/rng.hpp"
+#include "relap/util/simd.hpp"
 
 namespace {
 
@@ -324,20 +325,44 @@ TEST(SimScratchLanes, DrawIndexedMatchesTheScalarCounterWalk) {
   }
 }
 
-TEST(SimScratchLanes, EstimateFailureRateIsLaneWidthInvariant) {
-  // W=1 runs the scalar counter walk; 4 and 8 run the lane kernel. All
-  // three must agree bit for bit, on every platform class.
+TEST(SimScratchLanes, EstimateFailureRateMatchesTheScalarCounterWalk) {
+  // The lane kernel against a scalar re-derivation of every trial: replica
+  // i (group-major) of trial t fails iff
+  // to_unit_double(counter_hash(seed, t*R + i)) < its FP, a group is wiped
+  // when all its replicas fail, a trial fails when any group is wiped. The
+  // trial count is not a multiple of the lane width, so the padded final
+  // lane step is covered too.
   exec::ThreadPool serial(1);
   const auto check = [&](const platform::Platform& plat, const mapping::IntervalMapping& m) {
     MonteCarloOptions mc;
-    mc.trials = 30'000;
+    mc.trials = 30'001;
+    mc.seed = 0x5EED0F5CA1A4ULL;
     mc.pool = &serial;
-    mc.lane_width = 1;
-    const FailureRateEstimate reference = estimate_failure_rate(plat, m, mc);
-    for (const std::size_t width : {std::size_t{4}, std::size_t{8}}) {
-      mc.lane_width = width;
-      expect_same_estimate(estimate_failure_rate(plat, m, mc), reference, width);
+    ASSERT_NE(mc.trials % util::simd::kLaneWidth, 0u);
+
+    std::size_t replicas = 0;
+    for (const mapping::IntervalAssignment& a : m.intervals()) replicas += a.processors.size();
+    std::size_t failures = 0;
+    for (std::uint64_t t = 0; t < mc.trials; ++t) {
+      std::uint64_t i = 0;
+      bool failed = false;
+      for (const mapping::IntervalAssignment& a : m.intervals()) {
+        bool wiped = true;
+        for (const platform::ProcessorId u : a.processors) {
+          const double draw = util::to_unit_double(util::counter_hash(mc.seed, t * replicas + i));
+          wiped = wiped && draw < plat.failure_prob(u);
+          ++i;
+        }
+        failed = failed || wiped;
+      }
+      failures += failed ? 1 : 0;
     }
+
+    const FailureRateEstimate estimate = estimate_failure_rate(plat, m, mc);
+    EXPECT_EQ(estimate.trials, mc.trials);
+    EXPECT_EQ(estimate.empirical,
+              static_cast<double>(failures) / static_cast<double>(mc.trials));
+    EXPECT_GT(failures, 0u);  // the walk must exercise the failure branch
   };
 
   check(gen::fig5_platform(), gen::fig5_two_interval_mapping());

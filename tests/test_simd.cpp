@@ -217,13 +217,6 @@ TEST(SimdLanes, UnmaskedKahanMatchesScalar) {
   }
 }
 
-TEST(SimdLanes, EffectiveLaneWidthResolvesDefault) {
-  EXPECT_EQ(effective_lane_width(0), kDefaultLaneWidth);
-  EXPECT_EQ(effective_lane_width(1), 1u);
-  EXPECT_EQ(effective_lane_width(4), 4u);
-  EXPECT_EQ(effective_lane_width(8), 8u);
-}
-
 TEST(SimdLanes, IsaNameIsOneOfTheKnownBackends) {
   const std::string isa = isa_name();
   EXPECT_TRUE(isa == "avx2" || isa == "neon" || isa == "scalar") << isa;

@@ -86,11 +86,5 @@ TEST(FormatDouble, PinsShortestGeneralNotation) {
   EXPECT_EQ(format_double(std::numeric_limits<double>::infinity()), "inf");
 }
 
-TEST(Join, Basics) {
-  EXPECT_EQ(join({}, ", "), "");
-  EXPECT_EQ(join({"a"}, ", "), "a");
-  EXPECT_EQ(join({"a", "b", "c"}, "-"), "a-b-c");
-}
-
 }  // namespace
 }  // namespace relap::util
